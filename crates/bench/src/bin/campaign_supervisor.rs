@@ -8,11 +8,13 @@
 //! ```
 //!
 //! Spawns and owns the workers (one shared store, one Unix socket per
-//! worker), routes cells by rendezvous hashing with inline failover,
-//! heartbeats every worker, restarts the dead with seeded backoff,
-//! quarantines crash-loopers, and replays the dispatch journal so a
-//! `kill -9` of any worker loses zero cells. SIGTERM drains the fleet
-//! one worker at a time.
+//! worker under `--run-dir`, beside their logs), routes cells by
+//! rendezvous hashing, heartbeats every worker, restarts the dead with
+//! seeded backoff, and quarantines crash-loopers. A `kill -9` of any
+//! worker loses zero cells without a journal: a broken forward fails
+//! over inline to the next rendezvous choice, the shared store turns a
+//! re-sent cell into a hit, and clients re-send by trace id. SIGTERM
+//! drains the fleet one worker at a time.
 
 #[cfg(not(unix))]
 fn main() -> std::process::ExitCode {

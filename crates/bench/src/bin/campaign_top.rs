@@ -80,13 +80,12 @@ fn render_fleet(out: &mut String, doc: &Json) {
     let quorum = matches!(doc.get("quorum"), Some(Json::Bool(true)));
     let _ = writeln!(
         out,
-        "fleet      {} workers   {} alive   quorum {}   restarts {}   failovers {}   re-dispatched {}",
+        "fleet      {} workers   {} alive   quorum {}   restarts {}   failovers {}",
         leaf(doc, "workers"),
         leaf(doc, "alive"),
         if quorum { "yes" } else { "NO" },
         leaf(doc, "restarts"),
-        leaf(doc, "failovers"),
-        leaf(doc, "redispatched")
+        leaf(doc, "failovers")
     );
     let Some(Json::Arr(rows)) = doc.get("rows") else { return };
     let _ = writeln!(

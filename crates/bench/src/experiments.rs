@@ -6,8 +6,9 @@
 //! JSON document ([`crate::Exp`]). Because rendering never looks at
 //! anything but the ordered results, both output lanes are bit-identical
 //! at any `--jobs` count, and `all_experiments` can merge every
-//! experiment's jobs into **one** pool ([`run_specs`]) so a slow table
-//! never leaves workers idle. Simulation failures propagate as typed
+//! experiment's jobs into **one** pool ([`run_all`]) so a slow table
+//! never leaves workers idle; `all_experiments --only <name>` runs one
+//! experiment of the registry ([`only`]). Simulation failures propagate as typed
 //! [`SimError`]s instead of panicking; a panic inside a job surfaces as
 //! [`SimError::Panic`] naming the job.
 
@@ -18,8 +19,9 @@ use crate::{
 };
 use fac_core::{IndexCompose, PredictorConfig};
 use fac_sim::obs::Json;
-use fac_sim::{MachineConfig, RefClass, SimError};
+use fac_sim::{ConfigError, MachineConfig, RefClass, SimError};
 use fac_workloads::Scale;
+use std::sync::OnceLock;
 
 /// Appends a line (or a blank line) to a table buffer, `println!`-style.
 macro_rules! say {
@@ -141,48 +143,29 @@ impl<'a> Spec<'a> {
 /// The shape every experiment's spec builder shares.
 pub type SpecFn = for<'a> fn(&'a [Bench], Scale) -> Spec<'a>;
 
-/// Every experiment, in paper order (the order `all_experiments` prints
-/// and bundles them).
-pub const ALL: &[SpecFn] = &[
-    spec_fig2,
-    spec_table1,
-    spec_table2,
-    spec_fig3,
-    spec_table3,
-    spec_table4,
-    spec_table5,
-    spec_fig6,
-    spec_table6,
-    spec_ablate_or_xor,
-    spec_ablate_full_tag,
-    spec_ablate_store_spec,
-    spec_ablate_store_buffer,
-    spec_ablate_mshr,
-    spec_ablate_array_align,
-    spec_ablate_associativity,
-    spec_compare_ltb,
-    spec_compare_pipelines,
-    spec_tiered_run,
+/// Every experiment by name, in paper order (the order `all_experiments`
+/// prints and bundles them).
+pub const ALL: &[(&str, SpecFn)] = &[
+    ("fig2", spec_fig2),
+    ("table1", spec_table1),
+    ("table2", spec_table2),
+    ("fig3", spec_fig3),
+    ("table3", spec_table3),
+    ("table4", spec_table4),
+    ("table5", spec_table5),
+    ("fig6", spec_fig6),
+    ("table6", spec_table6),
+    ("ablate_or_xor", spec_ablate_or_xor),
+    ("ablate_full_tag", spec_ablate_full_tag),
+    ("ablate_store_spec", spec_ablate_store_spec),
+    ("ablate_store_buffer", spec_ablate_store_buffer),
+    ("ablate_mshr", spec_ablate_mshr),
+    ("ablate_array_align", spec_ablate_array_align),
+    ("ablate_associativity", spec_ablate_associativity),
+    ("compare_ltb", spec_compare_ltb),
+    ("compare_pipelines", spec_compare_pipelines),
+    ("tiered_run", spec_tiered_run),
 ];
-
-/// Runs many specs over **one** merged job pool and renders each, in
-/// order. Merging matters: with per-experiment pools the tail of each
-/// experiment would leave `workers - 1` threads idle 18 times per sweep.
-///
-/// # Errors
-///
-/// The lowest-indexed job failure across the merged pool.
-pub fn run_specs(specs: Vec<Spec<'_>>, cx: &Cx) -> Result<Vec<Exp>, SimError> {
-    let mut pool = JobSet::new();
-    let mut tails = Vec::new();
-    for spec in specs {
-        tails.push((spec.render, spec.jobs.len()));
-        pool.append(spec.jobs);
-    }
-    let results = crate::par::strict(pool.run_cached(cx.jobs, &cx.opts, cx.manifest))?;
-    let mut results = results.into_iter();
-    Ok(tails.into_iter().map(|(render, n)| render(results.by_ref().take(n).collect())).collect())
-}
 
 /// The whole evaluation — every experiment of [`ALL`] over one job pool,
 /// bundled into one table stream and one JSON object keyed by experiment
@@ -200,10 +183,10 @@ pub fn run_specs(specs: Vec<Spec<'_>>, cx: &Cx) -> Result<Vec<Exp>, SimError> {
 /// only; `--keep-going` reports failures in the artifact instead).
 pub fn run_all(cx: &Cx) -> Result<Exp, SimError> {
     let suite = build_suite(cx.scale);
-    let specs: Vec<Spec<'_>> = ALL.iter().map(|f| f(&suite, cx.scale)).collect();
     let mut pool = JobSet::new();
     let mut tails = Vec::new();
-    for spec in specs {
+    for (_, spec_fn) in ALL {
+        let spec = spec_fn(&suite, cx.scale);
         tails.push((spec.name, spec.render, spec.jobs.len()));
         pool.append(spec.jobs);
     }
@@ -256,6 +239,31 @@ fn degraded_note(name: &str, errors: &[(String, SimError)], cells: usize) -> Str
     )
 }
 
+/// Runs the experiment named `name` (`"fig2"`, `"table3"`, …) on its own
+/// job pool: the table and the JSON document have the per-experiment
+/// shape (`{"experiment": "fig2", "rows": [...]}`), not the bundle's.
+///
+/// # Errors
+///
+/// A [`ConfigError::BadFlagValue`] for `--only` listing the valid names
+/// when `name` is not in [`ALL`] (before any simulation starts);
+/// otherwise the lowest-indexed job failure, as [`run_all`].
+pub fn only(name: &str, cx: &Cx) -> Result<Exp, SimError> {
+    static NAMES: OnceLock<String> = OnceLock::new();
+    match ALL.iter().find(|(n, _)| *n == name) {
+        Some((_, spec)) => single(*spec, cx),
+        None => Err(ConfigError::BadFlagValue {
+            flag: "--only".to_string(),
+            value: name.to_string(),
+            expected: NAMES.get_or_init(|| {
+                let names: Vec<&str> = ALL.iter().map(|(n, _)| *n).collect();
+                format!("one of {}", names.join(", "))
+            }),
+        }
+        .into()),
+    }
+}
+
 fn single(spec: SpecFn, cx: &Cx) -> Result<Exp, SimError> {
     let suite = build_suite(cx.scale);
     let s = spec(&suite, cx.scale);
@@ -277,10 +285,6 @@ fn single(spec: SpecFn, cx: &Cx) -> Result<Exp, SimError> {
 
 /// Figure 2: IPC with 2-cycle loads (baseline), 1-cycle loads, perfect
 /// cache, and 1-cycle + perfect.
-pub fn fig2(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_fig2, cx)
-}
-
 fn spec_fig2<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     const COLS: [&str; 4] = ["baseline", "one_cycle", "perfect", "one_cycle_perfect"];
     let mut jobs = JobSet::new();
@@ -365,10 +369,6 @@ fn spec_fig2<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 }
 
 /// Table 1: program reference behavior (without software support).
-pub fn table1(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_table1, cx)
-}
-
 fn spec_table1<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -427,10 +427,6 @@ fn spec_table1<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 
 /// Figure 3: cumulative load-offset size distributions for gcc, sc, doduc
 /// and spice.
-pub fn fig3(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_fig3, cx)
-}
-
 fn spec_fig3<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let names = ["gcc", "sc", "doduc", "spice"];
     let mut jobs = JobSet::new();
@@ -488,10 +484,6 @@ fn spec_fig3<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 
 /// Table 2: the benchmark programs and their inputs (our scaled analogue
 /// of the paper's table).
-pub fn table2(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_table2, cx)
-}
-
 fn spec_table2<'a>(_suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for wl in fac_workloads::suite() {
@@ -524,10 +516,6 @@ fn spec_table2<'a>(_suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 
 /// Table 3: program statistics without software support, including the
 /// prediction failure rates for 16- and 32-byte blocks.
-pub fn table3(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_table3, cx)
-}
-
 fn spec_table3<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -599,10 +587,6 @@ fn spec_table3<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 /// JSON lane carries the same derived percent-changes as the human lane
 /// (via [`pct_change_json`]: `null` where the table shows `"-"`), plus
 /// the raw counts.
-pub fn table4(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_table4, cx)
-}
-
 fn spec_table4<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -676,10 +660,6 @@ fn spec_table4<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 }
 
 /// Table 5: the baseline machine model.
-pub fn table5(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_table5, cx)
-}
-
 fn spec_table5<'a>(_suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     jobs.push("table5", || {
@@ -752,12 +732,6 @@ fn spec_table5<'a>(_suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     })
 }
 
-/// Figure 6: speedups over the baseline, with and without software support,
-/// for 16- and 32-byte blocks, with and without reg+reg speculation.
-pub fn fig6(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_fig6, cx)
-}
-
 /// Figure 6's six (block size, sw support, reg+reg) combinations, in
 /// column order. The (32, hw-only, reg+reg) column doubles as the
 /// weighting base for the averages.
@@ -770,6 +744,8 @@ const FIG6_COMBOS: [(u32, bool, bool); 6] = [
     (32, true, false),
 ];
 
+/// Figure 6: speedups over the baseline, with and without software support,
+/// for 16- and 32-byte blocks, with and without reg+reg speculation.
 fn spec_fig6<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     const COLS: [&str; 6] = ["hw16", "hwsw16", "hw32", "hwsw32", "hw32_no_rr", "hwsw32_no_rr"];
     let mut jobs = JobSet::new();
@@ -869,10 +845,6 @@ fn spec_fig6<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 
 /// Table 6: memory bandwidth overhead — failed speculative accesses as a
 /// percentage of total references.
-pub fn table6(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_table6, cx)
-}
-
 fn spec_table6<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     const COLS: [&str; 4] = ["hw_rr", "sw_rr", "hw_no_rr", "sw_no_rr"];
     let mut jobs = JobSet::new();
@@ -929,10 +901,6 @@ fn spec_table6<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 }
 
 /// Ablation: OR vs XOR carry-free composition (paper footnote 1).
-pub fn ablate_or_xor(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_ablate_or_xor, cx)
-}
-
 fn spec_ablate_or_xor<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -970,10 +938,6 @@ fn spec_ablate_or_xor<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 }
 
 /// Ablation: full tag adder vs carry-free tag (§3.1).
-pub fn ablate_full_tag(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_ablate_full_tag, cx)
-}
-
 fn spec_ablate_full_tag<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -1011,10 +975,6 @@ fn spec_ablate_full_tag<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 }
 
 /// Ablation: store speculation on/off (§3.1's store discussion).
-pub fn ablate_store_spec(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_ablate_store_spec, cx)
-}
-
 fn spec_ablate_store_spec<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -1058,10 +1018,6 @@ fn spec_ablate_store_spec<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 /// Related work (§6): fast address calculation vs a load target buffer
 /// (Golden & Mudge). FAC predicts from the operands, the LTB from the load
 /// PC — and needs a real table to do it.
-pub fn compare_ltb(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_compare_ltb, cx)
-}
-
 fn spec_compare_ltb<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -1144,10 +1100,6 @@ fn spec_compare_ltb<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 
 /// Related work (§6): LUI vs AGI pipeline organizations (Golden & Mudge),
 /// each compared with fast address calculation on the LUI pipe.
-pub fn compare_pipelines(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_compare_pipelines, cx)
-}
-
 fn spec_compare_pipelines<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -1194,10 +1146,6 @@ fn spec_compare_pipelines<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 
 /// Ablation: data-cache associativity. Associativity shrinks the set index
 /// (fewer bits to compose carry-free), shifting which accesses fail.
-pub fn ablate_associativity(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_ablate_associativity, cx)
-}
-
 fn spec_ablate_associativity<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -1243,10 +1191,6 @@ fn spec_ablate_associativity<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> 
 
 /// Extension (§5.4 footnote 3): the large-array placement strategy the
 /// paper proposes to eliminate array-index failures.
-pub fn ablate_array_align(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_ablate_array_align, cx)
-}
-
 fn spec_ablate_array_align<'a>(_suite: &'a [Bench], scale: Scale) -> Spec<'a> {
     use fac_asm::SoftwareSupport;
     const COLS: [&str; 3] = ["none", "sw", "sw_arrays"];
@@ -1295,10 +1239,6 @@ fn spec_ablate_array_align<'a>(_suite: &'a [Bench], scale: Scale) -> Spec<'a> {
 }
 
 /// Ablation: miss-status-holding-register count (non-blocking depth).
-pub fn ablate_mshr(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_ablate_mshr, cx)
-}
-
 fn spec_ablate_mshr<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -1335,10 +1275,6 @@ fn spec_ablate_mshr<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
 }
 
 /// Ablation: store-buffer depth sensitivity.
-pub fn ablate_store_buffer(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_ablate_store_buffer, cx)
-}
-
 fn spec_ablate_store_buffer<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -1382,13 +1318,6 @@ fn spec_ablate_store_buffer<'a>(suite: &'a [Bench], _scale: Scale) -> Spec<'a> {
     })
 }
 
-/// Tiered execution: the fast functional tier differentially checked
-/// against the detailed machine, plus the SMARTS-style sampled timing
-/// estimate and its error against full detail (DESIGN.md §13).
-pub fn tiered_run(cx: &Cx) -> Result<Exp, SimError> {
-    single(spec_tiered_run, cx)
-}
-
 /// The sampling plan `tiered_run` uses at each scale. Windows must be
 /// long enough that pipeline fill and drain do not dominate the measured
 /// CPI (the cold-start bias of DESIGN.md §13); the Paper plan measures
@@ -1401,6 +1330,9 @@ pub fn tiered_sample_spec(scale: Scale) -> fac_sim::tier::SampleSpec {
     }
 }
 
+/// Tiered execution: the fast functional tier differentially checked
+/// against the detailed machine, plus the SMARTS-style sampled timing
+/// estimate and its error against full detail (DESIGN.md §13).
 fn spec_tiered_run<'a>(suite: &'a [Bench], scale: Scale) -> Spec<'a> {
     let mut jobs = JobSet::new();
     for b in suite {
@@ -1501,11 +1433,29 @@ mod tests {
         assert!(outputs[0].0.starts_with("\n== Table 2"));
     }
 
+    /// An unknown `--only` name is a typed config error naming every
+    /// valid experiment, raised before anything runs.
+    #[test]
+    fn only_rejects_unknown_names_with_the_valid_list() {
+        let err = only("fig9", &crate::Cx::simple(Scale::Smoke, 1)).err().expect("fig9 is no experiment");
+        assert!(
+            matches!(&err, SimError::InvalidConfig(ConfigError::BadFlagValue { flag, .. }) if flag == "--only"),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        for (name, _) in ALL {
+            assert!(msg.contains(name), "message must list {name}: {msg}");
+        }
+    }
+
     /// The registry covers the full evaluation, in paper order.
     #[test]
     fn registry_names_are_in_paper_order() {
         let suite = build_suite(Scale::Smoke);
-        let names: Vec<&str> = ALL.iter().map(|f| f(&suite, Scale::Smoke).name).collect();
+        for (name, spec_fn) in ALL {
+            assert_eq!(*name, spec_fn(&suite, Scale::Smoke).name, "registry key names its spec");
+        }
+        let names: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
         assert_eq!(
             names,
             [

@@ -19,11 +19,13 @@
 //!   `quarantine_after` times within `quarantine_window_secs` is
 //!   quarantined (typed [`SimError::WorkerQuarantined`]) instead of
 //!   crash-looping forever.
-//! - **Orphaned-work recovery**: every forwarded cell is journaled
-//!   (`dispatch` / `done`) in an append-only JSONL journal with the
-//!   manifest's torn-tail discipline. When a worker dies — or the whole
-//!   supervisor restarts — incomplete cells are replayed against the
-//!   surviving workers, so a sweep never loses a cell.
+//! - **Recovery without a journal**: no cell is lost to a dead worker or
+//!   a dead supervisor, and nothing records in-flight work to get there.
+//!   A forward that breaks fails over inline to the next rendezvous
+//!   choice, so the client that was waiting still gets its answer. The
+//!   content-addressed store makes every re-sent cell a hit or a
+//!   coalesced wait, never a second result. A client that lost the
+//!   supervisor itself re-sends by trace id once a new one is up.
 //! - **Rolling drain**: SIGTERM to the supervisor drains workers one at
 //!   a time, so serving capacity never hits zero until the end.
 //!
@@ -33,19 +35,18 @@
 //! tell it is not a single server, except that it survives `kill -9`.
 
 use crate::chaos::Backoff;
-use crate::manifest::read_journal_tail;
 use crate::serve::client::Client;
 use crate::serve::proto::{
-    parse_request, read_line, render_response, ErrorKind, LineEvent, Request, Response,
+    parse_request, read_line, render_response, write_line, ErrorKind, LineEvent, Request,
+    Response,
 };
 use crate::serve::server::Shutdown;
 use crate::serve::{cell_identity, Conn, Endpoint, Listener};
-use crate::telemetry::{http_response, read_request_head, request_path, Exposition};
+use crate::telemetry::{spawn_health_endpoint, Exposition};
 use fac_core::rng::splitmix64;
 use fac_core::snap::{fnv1a, FNV_OFFSET};
 use fac_sim::obs::Json;
 use fac_sim::SimError;
-use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,7 +93,7 @@ pub struct FleetOptions {
     pub worker_bin: PathBuf,
     /// The shared content-addressed store directory.
     pub store_dir: PathBuf,
-    /// Runtime directory: worker sockets, worker logs, dispatch journal.
+    /// Runtime directory: worker sockets and worker logs.
     pub run_dir: PathBuf,
     /// Heartbeat ping interval, milliseconds.
     pub heartbeat_ms: u64,
@@ -216,11 +217,9 @@ struct FleetCounters {
     requests: AtomicU64,
     /// Cell forwards attempted (including failover re-forwards).
     forwarded: AtomicU64,
-    /// Forwards that failed over to another worker inline.
+    /// Forwards that failed over to another worker inline — the "no
+    /// cell lost" counter.
     failovers: AtomicU64,
-    /// Cells re-dispatched after a worker loss (inline failovers plus
-    /// journal replays) — the "no cell lost" counter.
-    redispatched: AtomicU64,
     /// Worker respawns.
     restarts: AtomicU64,
     /// Workers quarantined for crash-looping.
@@ -231,106 +230,12 @@ struct FleetCounters {
     unrouted: AtomicU64,
 }
 
-/// An in-flight dispatch recovered from the journal: the job id, the
-/// raw request line to replay, and the worker it was last forwarded to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Orphan {
-    job: String,
-    line: String,
-    worker: usize,
-}
-
-/// The append-only dispatch journal: `{"event":"dispatch","job":...,
-/// "worker":N,"line":<request line>}` when a cell is forwarded,
-/// `{"event":"done","job":...}` when any response came back. A job with
-/// a `dispatch` but no `done` at replay time was in flight on a dead
-/// process and gets re-dispatched.
-struct DispatchJournal {
-    path: PathBuf,
-    file: Mutex<std::fs::File>,
-}
-
-impl DispatchJournal {
-    fn open(path: PathBuf) -> Result<DispatchJournal, SimError> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| SimError::io(&path.display().to_string(), e))?;
-        Ok(DispatchJournal { path, file: Mutex::new(file) })
-    }
-
-    fn append(&self, entry: &Json) {
-        let line = format!("{entry}\n");
-        let mut f = lock(&self.file);
-        // Dispatch durability is best-effort by design: a lost journal
-        // line costs at most one redundant recompute (the store and the
-        // client's own retries still guarantee the artifact).
-        if f.write_all(line.as_bytes()).and_then(|()| f.sync_data()).is_err() {
-            eprintln!("campaign supervisor: dispatch journal append failed");
-        }
-    }
-
-    fn dispatch(&self, job: &str, worker: usize, line: &str) {
-        let mut e = Json::obj();
-        e.set("event", Json::Str("dispatch".to_string()));
-        e.set("job", Json::Str(job.to_string()));
-        e.set("worker", Json::U64(worker as u64));
-        e.set("line", Json::Str(line.to_string()));
-        self.append(&e);
-    }
-
-    fn done(&self, job: &str) {
-        let mut e = Json::obj();
-        e.set("event", Json::Str("done".to_string()));
-        e.set("job", Json::Str(job.to_string()));
-        self.append(&e);
-    }
-
-    /// Replays the journal tail: jobs dispatched but never completed,
-    /// each with its last recorded request line and the worker it was
-    /// last forwarded to (so a death replays only *that* worker's
-    /// in-flight cells, not work still live elsewhere).
-    ///
-    /// Holds the append mutex for the whole read: `read_journal_tail`
-    /// durably truncates a torn tail, and doing that while a client
-    /// thread is mid-append would chop off committed lines. With the
-    /// lock held, the only torn tail it can see is crash residue.
-    fn incomplete(&self) -> Result<Vec<Orphan>, SimError> {
-        let _append_guard = lock(&self.file);
-        let mut open: Vec<Orphan> = Vec::new();
-        for entry in read_journal_tail(&self.path)? {
-            let job = entry.get("job").and_then(Json::as_str).unwrap_or("");
-            match entry.get("event").and_then(Json::as_str) {
-                Some("dispatch") => {
-                    let line = entry.get("line").and_then(Json::as_str).unwrap_or("");
-                    if job.is_empty() || line.is_empty() {
-                        continue;
-                    }
-                    let worker =
-                        entry.get("worker").and_then(Json::as_u64).unwrap_or(u64::MAX) as usize;
-                    open.retain(|o| o.job != job);
-                    open.push(Orphan {
-                        job: job.to_string(),
-                        line: line.to_string(),
-                        worker,
-                    });
-                }
-                Some("done") => open.retain(|o| o.job != job),
-                _ => {}
-            }
-        }
-        Ok(open)
-    }
-}
-
 /// State shared between the accept loop, per-client threads, the
 /// supervision thread, and the metrics listener.
 struct Shared {
     opts: FleetOptions,
     workers: Mutex<Vec<Worker>>,
     counters: FleetCounters,
-    journal: DispatchJournal,
     started: Instant,
     shutdown: Shutdown,
 }
@@ -363,10 +268,10 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Spawns the workers, replays the dispatch journal, and binds the
-    /// supervisor endpoint. Returns once every worker answered a ping
-    /// (or the boot deadline passed — a worker that cannot boot at all
-    /// is a startup error, not a runtime restart case).
+    /// Spawns the workers and binds the supervisor endpoint. Returns once
+    /// every worker answered a ping (or the boot deadline passed — a
+    /// worker that cannot boot at all is a startup error, not a runtime
+    /// restart case).
     ///
     /// # Errors
     ///
@@ -383,9 +288,6 @@ impl Fleet {
             .map_err(|e| SimError::io(&opts.run_dir.display().to_string(), e))?;
         std::fs::create_dir_all(&opts.store_dir)
             .map_err(|e| SimError::io(&opts.store_dir.display().to_string(), e))?;
-
-        let journal = DispatchJournal::open(opts.run_dir.join("dispatch.jsonl"))?;
-        let orphans = journal.incomplete()?;
 
         let mut workers = Vec::with_capacity(opts.workers);
         for index in 0..opts.workers {
@@ -423,24 +325,19 @@ impl Fleet {
         };
         let metrics = match &opts.metrics_addr {
             None => None,
-            Some(addr) => {
-                let bound = std::net::TcpListener::bind(addr)
-                    .and_then(|l| l.set_nonblocking(true).map(|()| l));
-                match bound {
-                    Ok(l) => Some(l),
-                    Err(e) => {
-                        kill_workers(&mut workers);
-                        return Err(SimError::io(&format!("tcp:{addr}"), e));
-                    }
+            Some(addr) => match std::net::TcpListener::bind(addr) {
+                Ok(l) => Some(l),
+                Err(e) => {
+                    kill_workers(&mut workers);
+                    return Err(SimError::io(&format!("tcp:{addr}"), e));
                 }
-            }
+            },
         };
 
         let shared = Arc::new(Shared {
             opts,
             workers: Mutex::new(workers),
             counters: FleetCounters::default(),
-            journal,
             started: Instant::now(),
             shutdown: Shutdown::new(),
         });
@@ -448,17 +345,6 @@ impl Fleet {
         if let Err(e) = wait_for_boot(&shared) {
             kill_workers(&mut lock(&shared.workers));
             return Err(e);
-        }
-
-        // Orphans from a previous supervisor incarnation: re-dispatch
-        // before serving, so a crashed-and-restarted fleet completes the
-        // cells it was killed holding.
-        if !orphans.is_empty() {
-            eprintln!(
-                "campaign supervisor: replaying {} incomplete dispatch(es) from the journal",
-                orphans.len()
-            );
-            redispatch(&shared, &orphans);
         }
 
         let supervision = {
@@ -504,9 +390,17 @@ impl Fleet {
     pub fn run(mut self) -> Result<(), SimError> {
         let label = self.endpoint().to_string();
         self.listener.set_nonblocking(true).map_err(|e| SimError::io(&label, e))?;
+        let metrics_thread = self.metrics.take().map(|listener| {
+            let (ready, render) = (Arc::clone(&self.shared), Arc::clone(&self.shared));
+            spawn_health_endpoint(
+                listener,
+                self.shared.shutdown.clone(),
+                move || if ready.quorum() { Ok(()) } else { Err("no fleet quorum") },
+                move || fleet_exposition(&render),
+            )
+        });
         let mut clients: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shared.shutdown.is_set() {
-            self.poll_metrics();
             match self.listener.accept() {
                 Ok(conn) => {
                     let shared = Arc::clone(&self.shared);
@@ -528,54 +422,12 @@ impl Fleet {
         if let Some(t) = self.supervision.take() {
             t.join().ok();
         }
+        if let Some(m) = metrics_thread {
+            m.join().ok();
+        }
         drain_workers(&self.shared);
         Ok(())
     }
-
-    /// Accepts any pending health/metrics HTTP connections (non-blocking)
-    /// and hands each to a short-lived thread. Accepted sockets are
-    /// blocking (they do not inherit the listener's O_NONBLOCK), so an
-    /// idle scraper must never be read on the accept-loop thread — it
-    /// would freeze the whole data plane.
-    fn poll_metrics(&self) {
-        let Some(listener) = &self.metrics else { return };
-        for _ in 0..16 {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    std::thread::spawn(move || serve_metrics_conn(&shared, stream));
-                }
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-/// Serves one health/metrics HTTP connection with hard read/write
-/// timeouts, so a scraper that connects and sends nothing costs one
-/// thread for two seconds, not the fleet.
-fn serve_metrics_conn(shared: &Arc<Shared>, mut stream: std::net::TcpStream) {
-    let timeout = Some(Duration::from_secs(2));
-    if stream.set_read_timeout(timeout).is_err() || stream.set_write_timeout(timeout).is_err() {
-        return;
-    }
-    let head = read_request_head(&mut stream);
-    let response = match request_path(&head).unwrap_or("/metrics") {
-        "/healthz" => http_response("200 OK", "text/plain", "ok\n"),
-        "/readyz" => {
-            if shared.quorum() {
-                http_response("200 OK", "text/plain", "ready\n")
-            } else {
-                http_response("503 Service Unavailable", "text/plain", "no fleet quorum\n")
-            }
-        }
-        "/metrics" => {
-            http_response("200 OK", "text/plain; version=0.0.4", &fleet_exposition(shared))
-        }
-        _ => http_response("404 Not Found", "text/plain", "not found\n"),
-    };
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
 }
 
 /// Spawns (or respawns) a worker process onto its socket, stdout/stderr
@@ -695,10 +547,7 @@ fn forward_line(endpoint: &Endpoint, line: &str, deadline: Duration) -> Result<S
     conn.set_read_timeout(Some(POLL)).map_err(|e| SimError::io(&label, e))?;
     conn.set_write_timeout(Some(Duration::from_secs(30)))
         .map_err(|e| SimError::io(&label, e))?;
-    conn.write_all(line.as_bytes())
-        .and_then(|()| conn.write_all(b"\n"))
-        .and_then(|()| conn.flush())
-        .map_err(|e| SimError::io(&label, e))?;
+    write_line(&mut conn, line).map_err(|e| SimError::io(&label, e))?;
     let start = Instant::now();
     let mut pending = Vec::new();
     loop {
@@ -732,10 +581,6 @@ fn forward_line(endpoint: &Endpoint, line: &str, deadline: Duration) -> Result<S
 fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
     let Request::Cell(cell) = req else { unreachable!("route_cell takes cells") };
     let key = route_key(&cell.workload, cell.sw, cell.scale, &cell.config);
-    let job = cell
-        .trace_id
-        .clone()
-        .unwrap_or_else(|| format!("cell.{:#018x}", fnv1a(FNV_OFFSET, line.as_bytes())));
     let deadline = Duration::from_secs(shared.opts.request_timeout_secs);
 
     let total = lock(&shared.workers).len();
@@ -752,15 +597,12 @@ fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
         attempts += 1;
         shared.bump(&shared.counters.forwarded);
         if attempts > 1 {
-            // This forward is a re-dispatch of a cell a lost worker was
-            // responsible for.
+            // This forward re-sends a cell a lost worker was responsible
+            // for; the store makes it a hit if the first try committed.
             shared.bump(&shared.counters.failovers);
-            shared.bump(&shared.counters.redispatched);
         }
-        shared.journal.dispatch(&job, index, line);
         match forward_line(&endpoint, line, deadline) {
             Ok(resp) => {
-                shared.journal.done(&job);
                 let mut workers = lock(&shared.workers);
                 workers[index].forwarded += 1;
                 return resp;
@@ -780,24 +622,6 @@ fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
         message: "no fleet worker reachable for this cell".to_string(),
         trace_id: cell.trace_id.clone(),
     })
-}
-
-/// Re-dispatches journal-recovered cells to the surviving workers.
-fn redispatch(shared: &Arc<Shared>, jobs: &[Orphan]) {
-    for orphan in jobs {
-        if shared.shutdown.is_set() {
-            return;
-        }
-        let Ok(req @ Request::Cell(_)) = parse_request(&orphan.line) else {
-            continue;
-        };
-        shared.bump(&shared.counters.redispatched);
-        let resp = route_cell(shared, &req, &orphan.line);
-        // The result lands in the shared store; the response line itself
-        // has no client anymore.
-        drop(resp);
-        shared.journal.done(&orphan.job);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -836,12 +660,7 @@ fn handle_client(shared: &Arc<Shared>, mut conn: Conn) {
                         trace_id: None,
                     }),
                 };
-                if conn
-                    .write_all(resp_line.as_bytes())
-                    .and_then(|()| conn.write_all(b"\n"))
-                    .and_then(|()| conn.flush())
-                    .is_err()
-                {
+                if write_line(&mut conn, &resp_line).is_err() {
                     return;
                 }
             }
@@ -933,7 +752,6 @@ fn fleet_summary(shared: &Arc<Shared>) -> Json {
     doc.set("requests", get(&c.requests));
     doc.set("forwarded", get(&c.forwarded));
     doc.set("failovers", get(&c.failovers));
-    doc.set("redispatched", get(&c.redispatched));
     doc.set("restarts", get(&c.restarts));
     doc.set("quarantined", get(&c.quarantined));
     doc.set("heartbeat_misses", get(&c.heartbeat_misses));
@@ -1000,12 +818,6 @@ fn fleet_exposition(shared: &Arc<Shared>) -> String {
     exp.counter("facfleet_requests_total", "Client requests accepted.", &[], get(&c.requests));
     exp.counter("facfleet_forwarded_total", "Cell forwards attempted.", &[], get(&c.forwarded));
     exp.counter("facfleet_failovers_total", "Inline forward failovers.", &[], get(&c.failovers));
-    exp.counter(
-        "facfleet_redispatched_total",
-        "Cells re-dispatched after a worker loss (inline + journal replay).",
-        &[],
-        get(&c.redispatched),
-    );
     exp.counter("facfleet_restarts_total", "Worker respawns.", &[], get(&c.restarts));
     exp.counter(
         "facfleet_quarantined_total",
@@ -1026,9 +838,8 @@ fn fleet_exposition(shared: &Arc<Shared>) -> String {
 // Supervision
 // ---------------------------------------------------------------------------
 
-/// The supervision loop: reap exits, heartbeat the living, respawn the
-/// dead (with backoff and crash-loop quarantine), and replay orphaned
-/// dispatches after every death.
+/// The supervision loop: reap exits, heartbeat the living, and respawn
+/// the dead (with backoff and crash-loop quarantine).
 fn supervise(shared: &Arc<Shared>) {
     let heartbeat = Duration::from_millis(shared.opts.heartbeat_ms.max(50));
     let mut next_beat = Instant::now() + heartbeat;
@@ -1045,82 +856,54 @@ fn supervise(shared: &Arc<Shared>) {
 /// Detects exited children, schedules respawns, performs due respawns,
 /// and quarantines crash-loopers.
 fn reap_and_respawn(shared: &Arc<Shared>) {
-    let mut deaths: Vec<usize> = Vec::new();
-    {
-        let mut workers = lock(&shared.workers);
-        for w in workers.iter_mut() {
-            // Reap: a dead child moves to Restarting with a backoff
-            // deadline.
-            if w.state.routable() {
-                let exited = match &mut w.child {
-                    Some(child) => child.try_wait().ok().flatten().is_some(),
-                    None => true,
-                };
-                if exited {
-                    eprintln!(
-                        "campaign supervisor: {} exited; restart scheduled",
-                        w.label()
-                    );
-                    w.child = None;
-                    w.state = WorkerState::Restarting;
-                    w.restart_at = Instant::now() + w.backoff.next_delay();
-                    deaths.push(w.index);
-                }
-            }
-            // Respawn when due, unless the crash-loop breaker trips.
-            if w.state == WorkerState::Restarting && Instant::now() >= w.restart_at {
-                let window = Duration::from_secs(shared.opts.quarantine_window_secs);
-                let now = Instant::now();
-                w.recent_restarts.retain(|t| now.duration_since(*t) <= window);
-                if w.recent_restarts.len() as u32 + 1 > shared.opts.quarantine_after {
-                    let err = SimError::WorkerQuarantined {
-                        worker: w.label(),
-                        restarts: w.recent_restarts.len() as u32 + 1,
-                        window_secs: shared.opts.quarantine_window_secs,
-                    };
-                    eprintln!("campaign supervisor: {err}");
-                    w.state = WorkerState::Quarantined;
-                    shared.bump(&shared.counters.quarantined);
-                    continue;
-                }
-                w.recent_restarts.push(now);
-                w.restarts += 1;
-                shared.bump(&shared.counters.restarts);
-                if let Err(e) = spawn_worker(&shared.opts, w) {
-                    eprintln!(
-                        "campaign supervisor: respawn of {} failed ({e}); retrying with backoff",
-                        w.label()
-                    );
-                    w.state = WorkerState::Restarting;
-                    w.restart_at = Instant::now() + w.backoff.next_delay();
-                } else {
-                    eprintln!("campaign supervisor: {} respawned (pid {})", w.label(), w.pid);
-                }
+    let mut workers = lock(&shared.workers);
+    for w in workers.iter_mut() {
+        // Reap: a dead child moves to Restarting with a backoff
+        // deadline.
+        if w.state.routable() {
+            let exited = match &mut w.child {
+                Some(child) => child.try_wait().ok().flatten().is_some(),
+                None => true,
+            };
+            if exited {
+                eprintln!(
+                    "campaign supervisor: {} exited; restart scheduled",
+                    w.label()
+                );
+                w.child = None;
+                w.state = WorkerState::Restarting;
+                w.restart_at = Instant::now() + w.backoff.next_delay();
             }
         }
-    }
-    // Every death may have orphaned in-flight cells: replay the journal
-    // tail and re-dispatch what never completed — but only the cells the
-    // *dead* workers were holding (the journal records the worker per
-    // dispatch; cells in flight on live workers will report their own
-    // `done`). Re-forwards can block up to the request timeout each, so
-    // they run off-thread: the supervision loop must keep heartbeating
-    // and reaping while recovery grinds.
-    if !deaths.is_empty() {
-        match shared.journal.incomplete() {
-            Ok(orphans) => {
-                let orphans: Vec<Orphan> =
-                    orphans.into_iter().filter(|o| deaths.contains(&o.worker)).collect();
-                if !orphans.is_empty() {
-                    eprintln!(
-                        "campaign supervisor: re-dispatching {} orphaned cell(s)",
-                        orphans.len()
-                    );
-                    let shared = Arc::clone(shared);
-                    std::thread::spawn(move || redispatch(&shared, &orphans));
-                }
+        // Respawn when due, unless the crash-loop breaker trips.
+        if w.state == WorkerState::Restarting && Instant::now() >= w.restart_at {
+            let window = Duration::from_secs(shared.opts.quarantine_window_secs);
+            let now = Instant::now();
+            w.recent_restarts.retain(|t| now.duration_since(*t) <= window);
+            if w.recent_restarts.len() as u32 + 1 > shared.opts.quarantine_after {
+                let err = SimError::WorkerQuarantined {
+                    worker: w.label(),
+                    restarts: w.recent_restarts.len() as u32 + 1,
+                    window_secs: shared.opts.quarantine_window_secs,
+                };
+                eprintln!("campaign supervisor: {err}");
+                w.state = WorkerState::Quarantined;
+                shared.bump(&shared.counters.quarantined);
+                continue;
             }
-            Err(e) => eprintln!("campaign supervisor: journal replay failed: {e}"),
+            w.recent_restarts.push(now);
+            w.restarts += 1;
+            shared.bump(&shared.counters.restarts);
+            if let Err(e) = spawn_worker(&shared.opts, w) {
+                eprintln!(
+                    "campaign supervisor: respawn of {} failed ({e}); retrying with backoff",
+                    w.label()
+                );
+                w.state = WorkerState::Restarting;
+                w.restart_at = Instant::now() + w.backoff.next_delay();
+            } else {
+                eprintln!("campaign supervisor: {} respawned (pid {})", w.label(), w.pid);
+            }
         }
     }
 }
@@ -1235,35 +1018,5 @@ mod tests {
                 route_order(key, 3).into_iter().filter(|&i| i != dead).collect();
             assert_eq!(order[0], survivor_order[0], "losing a non-primary moved the primary");
         }
-    }
-
-    #[test]
-    fn dispatch_journal_replays_incomplete_jobs() {
-        let dir = std::env::temp_dir().join(format!("fac_fleetj_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let j = DispatchJournal::open(dir.join("dispatch.jsonl")).unwrap();
-        j.dispatch("job-a", 0, "{\"cmd\":\"cell\"}");
-        j.dispatch("job-b", 1, "{\"cmd\":\"cell\"}");
-        j.done("job-a");
-        j.dispatch("job-c", 2, "{\"cmd\":\"cell\"}");
-        // job-b re-dispatched after a failover, then completed.
-        j.dispatch("job-b", 2, "{\"cmd\":\"cell\"}");
-        j.done("job-b");
-        // job-d failed over 0 → 1 and is still open: replay must record
-        // worker 1, so only *that* worker's death re-dispatches it.
-        j.dispatch("job-d", 0, "{\"cmd\":\"cell\"}");
-        j.dispatch("job-d", 1, "{\"cmd\":\"cell\"}");
-        let open = j.incomplete().unwrap();
-        assert_eq!(
-            open,
-            vec![
-                Orphan { job: "job-c".to_string(), line: "{\"cmd\":\"cell\"}".to_string(), worker: 2 },
-                Orphan { job: "job-d".to_string(), line: "{\"cmd\":\"cell\"}".to_string(), worker: 1 },
-            ]
-        );
-        let dead_only: Vec<&Orphan> = open.iter().filter(|o| o.worker == 2).collect();
-        assert_eq!(dead_only.len(), 1, "a worker-2 death replays job-c alone");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

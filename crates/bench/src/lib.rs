@@ -2,13 +2,15 @@
 
 //! # fac-bench — the evaluation harness
 //!
-//! One binary per table/figure of the paper, built on the shared runners in
-//! this library:
+//! Every table and figure of the paper is an experiment of the
+//! [`experiments::ALL`] registry, built on the shared runners in this
+//! library:
 //!
-//! | binary | regenerates |
+//! | experiment | regenerates |
 //! |---|---|
 //! | `fig2` | Figure 2 — IPC under load-latency what-ifs |
 //! | `table1` | Table 1 — program reference behavior |
+//! | `table2` | Table 2 — the benchmark programs and their inputs |
 //! | `fig3` | Figure 3 — load offset cumulative distributions |
 //! | `table3` | Table 3 — program statistics without software support |
 //! | `table4` | Table 4 — program statistics with software support |
@@ -16,12 +18,13 @@
 //! | `fig6` | Figure 6 — speedups (hw / hw+sw × block size × reg+reg) |
 //! | `table6` | Table 6 — cache-bandwidth overhead of misspeculation |
 //! | `ablate_*` | design-choice ablations called out in DESIGN.md |
+//! | `compare_*` | related-work comparisons (LTB, LUI vs AGI pipelines) |
 //! | `tiered_run` | tiered execution — fast-tier check + sampled CPI accuracy |
-//! | `all_experiments` | everything above, in order |
 //!
-//! Run with `cargo run --release -p fac-bench --bin <name>`.
+//! `cargo run --release -p fac-bench --bin all_experiments` runs them all,
+//! in order; add `--only <experiment>` to run one.
 //!
-//! Every binary takes `--smoke` (tiny workloads), `--json <path|->`
+//! The experiment binaries take `--smoke` (tiny workloads), `--json <path|->`
 //! (machine-readable output) and `--jobs N` (worker threads for the
 //! [`par`] harness; default: all hardware threads). Argv is validated
 //! strictly — an unrecognized or malformed flag is a typed
@@ -393,16 +396,8 @@ pub fn write_json(path: &str, doc: &Json) -> Result<(), SimError> {
 /// parsed [`Cx`], print its human table, honour `--json <path|->`, and
 /// map any [`SimError`] to a nonzero exit. A broken manifest journal also
 /// fails the run — a campaign must not claim durable success it cannot
-/// deliver.
-pub fn conclude(
-    experiment: impl FnOnce(&Cx) -> Result<Exp, SimError>,
-) -> std::process::ExitCode {
-    conclude_with(&[], &[], |cx, _| experiment(cx))
-}
-
-/// [`conclude`] for binaries with extra flags of their own: the declared
-/// extras parse alongside the standard set and the experiment receives
-/// the full [`Args`] to read them back.
+/// deliver. The binary's own extra flags parse alongside the standard set
+/// and the experiment receives the full [`Args`] to read them back.
 pub fn conclude_with(
     extra_bool_flags: &[&str],
     extra_value_flags: &[&str],

@@ -42,8 +42,8 @@ fn digest(rendered: &str) -> u64 {
 /// crash mid-append) is truncated away *durably* before parsing, so the
 /// next append cannot extend it into a malformed complete line. Every
 /// committed, non-blank line must parse as JSON. A missing journal is an
-/// empty journal. Shared by [`Manifest::open`] and the fleet
-/// supervisor's dispatch-journal replay.
+/// empty journal. [`Manifest::open`] reads the campaign manifest
+/// through it.
 ///
 /// # Errors
 ///
@@ -351,14 +351,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The shared tail reader: a missing journal is empty, committed
+    /// The tail reader: a missing journal is empty, committed
     /// lines parse in order, a torn tail is durably truncated, and a
     /// malformed committed line is a typed rejection.
     #[test]
     fn read_journal_tail_truncates_and_parses() {
         let dir = temp_dir("tail");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dispatch.jsonl");
+        let path = dir.join("journal.jsonl");
         assert!(read_journal_tail(&path).unwrap().is_empty(), "missing journal is empty");
 
         std::fs::write(&path, "{\"event\":\"dispatch\",\"job\":\"a\"}\n\n{\"event\":\"done\",\"job\":\"a\"}\n{\"event\":\"disp").unwrap();

@@ -11,8 +11,8 @@
 //! request line) instead of mis-pairing them with the RPC in flight.
 
 use super::proto::{
-    parse_response, read_line, render_request, CellRequest, ErrorKind, LineEvent, Request,
-    Response,
+    parse_response, read_line, render_request, write_line, CellRequest, ErrorKind, LineEvent,
+    Request, Response,
 };
 use super::{
     config_by_name, scale_name, sw_support, Conn, Endpoint, CONFIG_NAMES,
@@ -22,7 +22,6 @@ use crate::telemetry::Hist;
 use fac_sim::obs::Json;
 use fac_sim::{config_fingerprint, program_fingerprint, SimError};
 use fac_workloads::Scale;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -65,11 +64,7 @@ impl Client {
     /// within the deadline. A protocol-level refusal (`ok: false`) is a
     /// successful RPC — it returns [`Response::Error`].
     pub fn rpc(&mut self, req: &Request) -> Result<Response, SimError> {
-        let mut line = render_request(req);
-        line.push('\n');
-        self.conn
-            .write_all(line.as_bytes())
-            .and_then(|()| self.conn.flush())
+        write_line(&mut self.conn, &render_request(req))
             .map_err(|e| SimError::io(&self.endpoint, e))?;
         self.recv()
     }

@@ -45,7 +45,7 @@
 
 use fac_sim::obs::{json, Json};
 use fac_workloads::Scale;
-use std::io::Read;
+use std::io::{Read, Write};
 
 /// The longest protocol line either side accepts (1 MiB). Requests are a
 /// few hundred bytes; responses carry one cell result. A peer that
@@ -435,9 +435,55 @@ pub fn read_line(stream: &mut impl Read, pending: &mut Vec<u8>) -> LineEvent {
     }
 }
 
+/// Writes one protocol line — `line` plus its LF terminator — with a
+/// single `write_all`, then flushes. Writing the terminator separately
+/// sends it in a segment of its own, which Nagle's algorithm holds back
+/// until the peer's delayed ACK fires: about 40 ms added to every RPC
+/// over TCP.
+///
+/// # Errors
+///
+/// The stream's write or flush error.
+pub fn write_line(conn: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    conn.write_all(&framed)?;
+    conn.flush()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    /// One line is one write: the terminator rides with the payload.
+    #[test]
+    fn write_line_is_one_write_per_line() {
+        let mut w = CountingWriter::default();
+        write_line(&mut w, "{\"cmd\":\"ping\"}").unwrap();
+        write_line(&mut w, "").unwrap();
+        assert_eq!(w.writes, vec![b"{\"cmd\":\"ping\"}\n".to_vec(), b"\n".to_vec()]);
+        assert_eq!(w.flushes, 2);
+    }
 
     fn cell() -> CellRequest {
         CellRequest {

@@ -40,7 +40,8 @@
 //! [`fac_sim::obs::JsonlWriter`] the event streams use.
 
 use super::proto::{
-    parse_request, read_line, render_response, ErrorKind, LineEvent, Request, Response,
+    parse_request, read_line, render_response, write_line, ErrorKind, LineEvent, Request,
+    Response,
 };
 use super::store::{Lookup, Scrub, Store};
 use super::{
@@ -56,7 +57,6 @@ use fac_sim::obs::{Json, JsonlWriter};
 use fac_sim::{config_fingerprint, program_fingerprint, MachineConfig, SimError};
 use fac_workloads::Scale;
 use std::collections::HashMap;
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -555,13 +555,24 @@ impl Server {
         self.listener
             .set_nonblocking(true)
             .map_err(|e| SimError::io(&label, e))?;
-        // The metrics listener runs on its own thread, outside the
-        // admission gate: a scrape is read-only and must keep answering
-        // while cell traffic is being shed.
+        // Readiness: a full admission queue sheds and a degraded store
+        // cannot commit, so either one stops routing here.
         let metrics_thread = self.metrics.take().map(|listener| {
-            let shared = Arc::clone(&self.shared);
-            let shutdown = self.shutdown.clone();
-            std::thread::spawn(move || serve_metrics(&listener, &shared, &shutdown))
+            let (ready, render) = (Arc::clone(&self.shared), Arc::clone(&self.shared));
+            crate::telemetry::spawn_health_endpoint(
+                listener,
+                self.shutdown.clone(),
+                move || {
+                    if ready.admitted.load(Ordering::SeqCst) >= ready.opts.max_queue {
+                        Err("shedding: admission queue full")
+                    } else if ready.store_degraded() {
+                        Err("degraded: store not accepting writes")
+                    } else {
+                        Ok(())
+                    }
+                },
+                move || exposition(&render),
+            )
         });
         // The store scrubber is a low-priority anti-entropy walk: it
         // takes the store lock one frame at a time and yields between
@@ -628,11 +639,8 @@ fn handle_conn(shared: &Arc<Shared>, shutdown: &Shutdown, mut conn: Conn) {
     let mut idle = Duration::ZERO;
     let mut pending = Vec::new();
     let peer = conn.peer();
-    let respond = |conn: &mut Conn, resp: &Response| -> bool {
-        let mut line = render_response(resp);
-        line.push('\n');
-        conn.write_all(line.as_bytes()).and_then(|()| conn.flush()).is_ok()
-    };
+    let respond =
+        |conn: &mut Conn, resp: &Response| write_line(conn, &render_response(resp)).is_ok();
     // Renders, writes, and times the serialize phase, then folds the
     // finished span into the histograms and access log — every response
     // path goes through here, so every request leaves a span.
@@ -957,66 +965,6 @@ fn run_scrubber(shared: &Arc<Shared>, shutdown: &Shutdown) {
     }
 }
 
-/// The metrics accept loop: one scrape at a time, read-only, polling the
-/// same shutdown flag as the main listener so a drain stops both.
-fn serve_metrics(listener: &std::net::TcpListener, shared: &Arc<Shared>, shutdown: &Shutdown) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !shutdown.is_set() {
-        match listener.accept() {
-            Ok((stream, _)) => serve_scrape(stream, shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Answers one HTTP scrape. Minimal HTTP/1.0: the request head is drained
-/// (bounded, never parsed beyond its end), the path is dispatched to
-/// `/healthz`, `/readyz`, or the exposition, and the body is written with
-/// `Connection: close`. Nothing a scraper sends can mutate server state —
-/// the listener has no write path.
-fn serve_scrape(mut stream: std::net::TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let head = crate::telemetry::read_request_head(&mut stream);
-    let response = match crate::telemetry::request_path(&head).unwrap_or("/metrics") {
-        // Liveness: the process answers, full stop. A degraded store or
-        // a full queue is a reason to stop *routing*, not to restart.
-        "/healthz" => crate::telemetry::http_response("200 OK", "text/plain", "ok\n"),
-        "/readyz" => {
-            let shedding = shared.admitted.load(Ordering::SeqCst) >= shared.opts.max_queue;
-            let degraded = shared.store_degraded();
-            if shedding {
-                crate::telemetry::http_response(
-                    "503 Service Unavailable",
-                    "text/plain",
-                    "shedding: admission queue full\n",
-                )
-            } else if degraded {
-                crate::telemetry::http_response(
-                    "503 Service Unavailable",
-                    "text/plain",
-                    "degraded: store not accepting writes\n",
-                )
-            } else {
-                crate::telemetry::http_response("200 OK", "text/plain", "ready\n")
-            }
-        }
-        // Any other path (including a garbled head) gets the exposition,
-        // as before: a scraper that sent a bare request line still
-        // deserves its metrics.
-        _ => {
-            let body = exposition(shared);
-            crate::telemetry::http_response("200 OK", "text/plain; version=0.0.4", &body)
-        }
-    };
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
-}
-
 /// Everything resolved about a cell before simulation: the plan the
 /// store key is derived from.
 struct CellPlan {
@@ -1292,6 +1240,7 @@ mod tests {
     use super::*;
     use crate::serve::proto::{parse_response, render_request};
     use fac_sim::obs::json;
+    use std::io::Write;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fac_serve_{tag}_{}", std::process::id()));
@@ -1909,17 +1858,6 @@ mod tests {
         stream.read_to_string(&mut raw).unwrap();
         let (head, body) = raw.split_once("\r\n\r\n").expect("complete HTTP response");
         (head.to_string(), body.to_string())
-    }
-
-    #[test]
-    fn request_path_parses_the_target() {
-        use crate::telemetry::request_path;
-        assert_eq!(request_path(b"GET /readyz HTTP/1.0\r\n\r\n"), Some("/readyz"));
-        assert_eq!(request_path(b"GET /readyz?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n"), Some("/readyz"));
-        assert_eq!(request_path(b"POST /metrics HTTP/1.0\r\n\r\nhits=9"), Some("/metrics"));
-        assert_eq!(request_path(b"GET\r\n\r\n"), None);
-        assert_eq!(request_path(b"\xff\xfe"), None);
-        assert_eq!(request_path(b""), None);
     }
 
     /// Persistent write failure flips the store into degraded mode

@@ -554,7 +554,7 @@ mod tests {
             std::fs::write(qdir.join(format!("{i:016x}.cell")), b"junk").unwrap();
             std::fs::write(qdir.join(format!("{i:016x}.reason")), b"why").unwrap();
         }
-        // Orphaned notes whose entries are long gone.
+        // Stale notes whose entries are long gone.
         for i in 0..5 {
             std::fs::write(qdir.join(format!("orphan{i}.reason")), b"stale").unwrap();
         }

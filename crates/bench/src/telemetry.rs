@@ -17,6 +17,9 @@
 //!   (`# HELP`/`# TYPE` lines, counters, gauges, and cumulative
 //!   `_bucket`/`_sum`/`_count` histogram series) for the server's
 //!   `--metrics` endpoint. The grammar is documented in DESIGN.md §12.
+//! - [`spawn_health_endpoint`] — the one `/healthz` / `/readyz` /
+//!   `/metrics` HTTP listener, shared by the campaign server and the
+//!   fleet supervisor; each passes its own readiness rule and exposition.
 //!
 //! Units are the caller's choice: the serving layer records
 //! microseconds (`*_us` metrics — store hits answer in microseconds and
@@ -26,7 +29,12 @@
 //! bounded by 2× at any scale — the right trade for latency, where the
 //! interesting signal is the order of magnitude of the tail.
 
+use crate::serve::server::Shutdown;
 use fac_sim::obs::{Json, MetricsRegistry, RegisterMetrics};
+use std::io::{Read, Write};
+use std::net::TcpListener;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Number of log2 buckets: bucket 0 holds values in `[0, 1]`, bucket
 /// `i >= 1` holds `(2^(i-1), 2^i]`, and bucket 64 holds everything above
@@ -299,10 +307,9 @@ impl Exposition {
 }
 
 /// Renders a complete minimal HTTP/1.0 response (`Connection: close`,
-/// explicit `Content-Length`) for the read-only observability listener —
-/// the metrics exposition and the `/healthz` / `/readyz` probes all
-/// answer through this one shape.
-pub fn http_response(status: &str, content_type: &str, body: &str) -> String {
+/// explicit `Content-Length`): the one shape every answer of
+/// [`spawn_health_endpoint`] takes.
+fn http_response(status: &str, content_type: &str, body: &str) -> String {
     format!(
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n{body}",
@@ -314,7 +321,7 @@ pub fn http_response(status: &str, content_type: &str, body: &str) -> String {
 /// at the blank line) and returns the raw bytes read. Never fails: a
 /// scraper that sent only a bare request line — or nothing parseable —
 /// still deserves an answer, so timeouts and errors just end the drain.
-pub fn read_request_head(stream: &mut impl std::io::Read) -> Vec<u8> {
+fn read_request_head(stream: &mut impl Read) -> Vec<u8> {
     let mut head = [0u8; 4096];
     let mut len = 0;
     while len < head.len() {
@@ -335,13 +342,100 @@ pub fn read_request_head(stream: &mut impl std::io::Read) -> Vec<u8> {
 /// The path component of an HTTP request head's first line, if one is
 /// present (`GET /readyz HTTP/1.0` → `/readyz`). Query strings are
 /// stripped: `/readyz?verbose=1` still means `/readyz`.
-pub fn request_path(head: &[u8]) -> Option<&str> {
+fn request_path(head: &[u8]) -> Option<&str> {
     let head = std::str::from_utf8(head).ok()?;
     let line = head.lines().next()?;
     let mut parts = line.split_whitespace();
     let _method = parts.next()?;
     let target = parts.next()?;
     Some(target.split('?').next().unwrap_or(target))
+}
+
+/// The answer to one request head:
+///
+/// - `/healthz` — always 200: the process answers, full stop. A degraded
+///   store or a lost quorum is a reason to stop *routing*, not to restart.
+/// - `/readyz` — 200, or 503 with the readiness rule's reason.
+/// - `/metrics`, and a head that cannot be parsed (a scraper that sent a
+///   bare request line still deserves its metrics) — the exposition.
+/// - any other well-formed path — 404.
+fn probe_response(
+    head: &[u8],
+    ready: &impl Fn() -> Result<(), &'static str>,
+    exposition: &impl Fn() -> String,
+) -> String {
+    match request_path(head) {
+        Some("/healthz") => http_response("200 OK", "text/plain", "ok\n"),
+        Some("/readyz") => match ready() {
+            Ok(()) => http_response("200 OK", "text/plain", "ready\n"),
+            Err(reason) => {
+                http_response("503 Service Unavailable", "text/plain", &format!("{reason}\n"))
+            }
+        },
+        Some("/metrics") | None => {
+            http_response("200 OK", "text/plain; version=0.0.4", &exposition())
+        }
+        Some(_) => http_response("404 Not Found", "text/plain", "not found\n"),
+    }
+}
+
+/// Serves the read-only observability listener of a campaign server or
+/// fleet supervisor — `/healthz`, `/readyz` and `/metrics` over minimal
+/// HTTP/1.0, routed by `probe_response` — on a thread of its own until
+/// `shutdown` is raised, and returns that thread. `ready` is the
+/// process's readiness rule: `Err` carries the reason it should not get
+/// traffic.
+///
+/// Outside every data-plane loop and admission gate, a scrape keeps
+/// answering while cell traffic is shed. Each connection gets its own
+/// short-lived thread with 2 s read/write deadlines, so a scraper that
+/// connects and sends nothing delays neither the next scrape nor a cell
+/// RPC.
+pub fn spawn_health_endpoint(
+    listener: TcpListener,
+    shutdown: Shutdown,
+    ready: impl Fn() -> Result<(), &'static str> + Send + Sync + 'static,
+    exposition: impl Fn() -> String + Send + Sync + 'static,
+) -> std::thread::JoinHandle<()> {
+    let probes = Arc::new((ready, exposition));
+    std::thread::spawn(move || {
+        if listener.set_nonblocking(true).is_err() {
+            return;
+        }
+        let mut scrapes: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        while !shutdown.is_set() {
+            match listener.accept() {
+                Ok((mut stream, _)) => {
+                    let probes = Arc::clone(&probes);
+                    scrapes.retain(|t| !t.is_finished());
+                    scrapes.push(std::thread::spawn(move || {
+                        // Some platforms hand out accepted sockets with
+                        // the listener's O_NONBLOCK; deadlines need a
+                        // blocking one.
+                        let deadline = Some(Duration::from_secs(2));
+                        if stream.set_nonblocking(false).is_err()
+                            || stream.set_read_timeout(deadline).is_err()
+                            || stream.set_write_timeout(deadline).is_err()
+                        {
+                            return;
+                        }
+                        let head = read_request_head(&mut stream);
+                        let response = probe_response(&head, &probes.0, &probes.1);
+                        let _ = stream.write_all(response.as_bytes());
+                        let _ = stream.flush();
+                    }));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        for t in scrapes {
+            t.join().ok();
+        }
+    })
 }
 
 #[cfg(test)]
@@ -355,6 +449,40 @@ mod tests {
         assert!(r.starts_with("HTTP/1.0 200 OK\r\n"), "{r}");
         assert!(r.contains("Content-Length: 3\r\n"), "{r}");
         assert!(r.ends_with("\r\n\r\nok\n"), "{r}");
+    }
+
+    #[test]
+    fn request_path_parses_the_target() {
+        assert_eq!(request_path(b"GET /readyz HTTP/1.0\r\n\r\n"), Some("/readyz"));
+        assert_eq!(request_path(b"GET /readyz?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n"), Some("/readyz"));
+        assert_eq!(request_path(b"POST /metrics HTTP/1.0\r\n\r\nhits=9"), Some("/metrics"));
+        assert_eq!(request_path(b"GET\r\n\r\n"), None);
+        assert_eq!(request_path(b"\xff\xfe"), None);
+        assert_eq!(request_path(b""), None);
+    }
+
+    /// The routing table of the health endpoint, per path.
+    #[test]
+    fn probe_response_routes_every_path() {
+        let ready = || Ok(());
+        let unready = || Err("no fleet quorum");
+        let exposition = || "facfleet_quorum 1\n".to_string();
+        let status = |r: String| r.lines().next().unwrap_or("").to_string();
+        let get = |path: &str| format!("GET {path} HTTP/1.0\r\n\r\n").into_bytes();
+
+        assert_eq!(status(probe_response(&get("/healthz"), &ready, &exposition)), "HTTP/1.0 200 OK");
+        assert_eq!(status(probe_response(&get("/healthz"), &unready, &exposition)), "HTTP/1.0 200 OK");
+        assert_eq!(status(probe_response(&get("/readyz"), &ready, &exposition)), "HTTP/1.0 200 OK");
+        let r = probe_response(&get("/readyz"), &unready, &exposition);
+        assert!(r.starts_with("HTTP/1.0 503 Service Unavailable\r\n"), "{r}");
+        assert!(r.ends_with("\r\n\r\nno fleet quorum\n"), "{r}");
+        for head in [get("/metrics"), get("/metrics?x=1"), b"\xff garbage".to_vec(), Vec::new()] {
+            let r = probe_response(&head, &ready, &exposition);
+            assert!(r.starts_with("HTTP/1.0 200 OK\r\n"), "{r}");
+            assert!(r.ends_with("facfleet_quorum 1\n"), "{r}");
+        }
+        let r = probe_response(&get("/nope"), &ready, &exposition);
+        assert!(r.starts_with("HTTP/1.0 404 Not Found\r\n"), "{r}");
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //!
 //! - SIGKILL of one worker mid-sweep loses zero cells: the artifact is
 //!   byte-identical to a fault-free run, the supervisor's `fleet-stats`
-//!   shows the restart and the re-dispatched cells, and the restarted
+//!   shows the restart and the inline failovers, and the restarted
 //!   worker serves cache hits.
 //! - A worker killed on every respawn trips the crash-loop breaker and
 //!   is quarantined; the remaining workers keep serving.
-//! - A supervisor killed -9 mid-cell replays its dispatch journal on
-//!   restart and re-dispatches the orphaned work.
+//! - The whole fleet killed -9 mid-sweep loses nothing it committed: a
+//!   restarted fleet on the same store serves every committed cell as a
+//!   hit and the new sweep's artifact is byte-identical.
+//! - The one health endpoint answers the same way on a lone server and
+//!   on the supervisor, and an idle scraper delays nobody.
 //! - SIGTERM drains the fleet one worker at a time to a clean exit 0.
 //! - `store_scrub` detects a flipped byte, quarantines the frame with
 //!   `component=scrubber` provenance, and a second pass after recompute
@@ -17,12 +20,17 @@
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use fac_bench::serve::client::{cell_request, Client};
+use fac_bench::serve::proto::{Request, Response};
+use fac_bench::serve::Endpoint;
 use fac_sim::obs::Json;
+use fac_workloads::Scale;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fac_fleet_{tag}_{}", std::process::id()));
@@ -32,8 +40,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Spawns a supervisor with `workers` workers on `sock`, stderr to
-/// `base/sup.err`, and waits until the endpoint accepts connections
-/// (the supervisor announces only after every worker answered a ping).
+/// `base/sup.err` and stdout piped (see [`metrics_addr`]), and waits
+/// until the endpoint accepts connections (the supervisor announces only
+/// after every worker answered a ping).
 fn spawn_fleet(base: &Path, sock: &Path, workers: u32, extra: &[&str]) -> Child {
     let err = std::fs::File::create(base.join("sup.err")).unwrap();
     let child = Command::new(env!("CARGO_BIN_EXE_campaign_supervisor"))
@@ -48,7 +57,7 @@ fn spawn_fleet(base: &Path, sock: &Path, workers: u32, extra: &[&str]) -> Child 
         .arg("--worker-bin")
         .arg(env!("CARGO_BIN_EXE_campaign_server"))
         .args(extra)
-        .stdout(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::from(err))
         .spawn()
         .unwrap();
@@ -74,6 +83,21 @@ fn fleet_stats(sock: &Path) -> Json {
 
 fn leaf(doc: &Json, key: &str) -> u64 {
     doc.get(key).and_then(Json::as_u64).unwrap_or(0)
+}
+
+/// Reads a daemon's stdout up to its `metrics on tcp:<addr>` line and
+/// returns the address, then keeps draining stdout on a thread so the
+/// daemon's later lines never meet a closed pipe.
+fn metrics_addr(child: &mut Child) -> SocketAddr {
+    let mut lines = BufReader::new(child.stdout.take().expect("stdout piped")).lines();
+    let addr = loop {
+        let line = lines.next().expect("exited before announcing its metrics").unwrap();
+        if let Some((_, addr)) = line.split_once("metrics on tcp:") {
+            break addr.parse().unwrap();
+        }
+    };
+    std::thread::spawn(move || lines.for_each(drop));
+    addr
 }
 
 /// The per-worker rows of a fleet document as (pid, state) pairs.
@@ -118,20 +142,34 @@ fn pid_alive(pid: u64) -> bool {
     Command::new("kill").args(["-0", &pid.to_string()]).status().unwrap().success()
 }
 
-/// Polls the dispatch journal until the parked `__sleep` cell's
-/// `dispatch` entry appears, and returns the worker index it names.
-fn sleep_dispatch_worker(journal: &Path, secs: u64) -> usize {
+/// True once `pid` has exited, reaped or not: a killed worker whose
+/// supervisor died with it lingers as a zombie until its new parent
+/// reaps it, and `kill -0` still reaches a zombie.
+fn pid_exited(pid: u64) -> bool {
+    let out = Command::new("ps").args(["-o", "stat=", "-p", &pid.to_string()]).output().unwrap();
+    let stat = String::from_utf8_lossy(&out.stdout);
+    stat.trim().is_empty() || stat.trim_start().starts_with('Z')
+}
+
+/// Polls `fleet-stats` until a worker row reports a cell in flight on
+/// two polls in a row, and returns that worker's pid. The parked
+/// `__sleep` cell holds its worker for seconds, while a smoke sweep cell
+/// is over in a fraction of the poll gap, so a row that stays busy
+/// across two polls is the parked cell's worker.
+fn parked_cell_worker(sock: &Path, secs: u64) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(secs);
+    let mut busy_before: Vec<u64> = Vec::new();
     loop {
-        let text = std::fs::read_to_string(journal).unwrap_or_default();
-        for line in text.lines() {
-            if line.contains("\"dispatch\"") && line.contains("__sleep") {
-                let doc = fac_sim::obs::json::parse(line).unwrap();
-                return doc.get("worker").and_then(Json::as_u64).expect("worker index") as usize;
-            }
+        let fleet = fleet_stats(sock);
+        let Some(Json::Arr(rows)) = fleet.get("rows") else { panic!("no rows: {fleet}") };
+        let busy: Vec<u64> =
+            rows.iter().filter(|r| leaf(r, "inflight") > 0).map(|r| leaf(r, "pid")).collect();
+        if let Some(&pid) = busy.iter().find(|pid| busy_before.contains(pid)) {
+            return pid;
         }
-        assert!(Instant::now() < deadline, "sleep cell never journaled");
-        std::thread::sleep(Duration::from_millis(5));
+        busy_before = busy;
+        assert!(Instant::now() < deadline, "no worker held the parked cell: {fleet}");
+        std::thread::sleep(Duration::from_millis(250));
     }
 }
 
@@ -146,18 +184,10 @@ fn wait_exit(child: &mut Child, secs: u64) -> std::process::ExitStatus {
     }
 }
 
-/// SIGKILL one worker mid-sweep: the artifact is byte-identical to a
-/// fault-free run, the supervisor restarted the worker and re-dispatched
-/// its cells, and a second sweep is answered entirely from the store —
-/// including by the restarted worker.
-#[test]
-fn sigkill_worker_mid_sweep_loses_no_cells() {
-    let base = temp_dir("kill");
-    let sock = base.join("sup.sock");
-
-    // Reference: a fault-free sweep against a lone server on its own
-    // store. The supervisor is a transparent proxy, so its artifact must
-    // match this byte for byte.
+/// A fault-free sweep against a lone server on its own store, artifact
+/// to `base/reference.json`. The supervisor is a transparent proxy, so
+/// every fleet artifact must match this byte for byte.
+fn reference_sweep(base: &Path) -> PathBuf {
     let ref_sock = base.join("ref.sock");
     let mut ref_server = Command::new(env!("CARGO_BIN_EXE_campaign_server"))
         .arg("--listen")
@@ -178,6 +208,19 @@ fn sigkill_worker_mid_sweep_loses_no_cells() {
     assert!(out.status.success(), "reference sweep failed: {out:?}");
     send_signal(u64::from(ref_server.id()), "TERM");
     ref_server.wait().unwrap();
+    reference
+}
+
+/// SIGKILL one worker mid-sweep: the artifact is byte-identical to a
+/// fault-free run, the supervisor restarted the worker and failed its
+/// cells over inline, and a second sweep is answered entirely from the store —
+/// including by the restarted worker.
+#[test]
+fn sigkill_worker_mid_sweep_loses_no_cells() {
+    let base = temp_dir("kill");
+    let sock = base.join("sup.sock");
+
+    let reference = reference_sweep(&base);
 
     // A slow restart backoff keeps the killed worker down long enough
     // that the sweep must route around it — the loss is exercised, not
@@ -196,11 +239,9 @@ fn sigkill_worker_mid_sweep_loses_no_cells() {
         assert!(Instant::now() < deadline, "no cells committed before deadline");
         std::thread::sleep(Duration::from_millis(10));
     }
-    // Park a slow test cell; its journal entry names the worker holding
-    // it. Killing *that* worker guarantees the kill orphans a dispatched
-    // cell — the supervisor only replays the dead worker's in-flight
-    // work, so a victim chosen blind could die idle and leave nothing to
-    // re-dispatch.
+    // Park a slow test cell and kill the worker holding it: the kill
+    // then breaks a forward in flight, which must fail over inline — a
+    // victim chosen blind could die idle with nothing to recover.
     let cell_sock = format!("unix:{}", sock.display());
     let parked = std::thread::spawn(move || {
         Command::new(env!("CARGO_BIN_EXE_campaign_client"))
@@ -208,8 +249,7 @@ fn sigkill_worker_mid_sweep_loses_no_cells() {
             .output()
             .unwrap()
     });
-    let victim_index = sleep_dispatch_worker(&base.join("run").join("dispatch.jsonl"), 60);
-    let victim = worker_rows(&fleet_stats(&sock))[victim_index].0;
+    let victim = parked_cell_worker(&sock, 60);
     send_signal(victim, "KILL");
     let out = sweeper.join().unwrap();
     assert!(out.status.success(), "sweep across the kill failed: {out:?}");
@@ -220,8 +260,8 @@ fn sigkill_worker_mid_sweep_loses_no_cells() {
     );
 
     // The supervisor observed the loss and recovered it: the fleet
-    // returns to full strength with the restart and the re-dispatched
-    // cells on the counters.
+    // returns to full strength with the restart and the failovers on the
+    // counters.
     let deadline = Instant::now() + Duration::from_secs(60);
     let fleet = loop {
         let fleet = fleet_stats(&sock);
@@ -233,7 +273,7 @@ fn sigkill_worker_mid_sweep_loses_no_cells() {
         assert!(Instant::now() < deadline, "killed worker never restarted: {fleet}");
         std::thread::sleep(Duration::from_millis(50));
     };
-    assert!(leaf(&fleet, "redispatched") >= 1, "no cell re-dispatched: {fleet}");
+    assert!(leaf(&fleet, "failovers") >= 1, "no cell failed over: {fleet}");
     assert_eq!(leaf(&fleet, "alive"), 3, "fleet not back to full strength: {fleet}");
 
     // The parked cell was in flight on the killed worker and still got
@@ -319,50 +359,146 @@ fn crash_looping_worker_is_quarantined() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Kill -9 the whole fleet (supervisor and workers) while a cell is in
-/// flight: the restarted supervisor finds the dispatch in its journal
-/// with no completion, replays it, and finishes the orphaned work.
+/// Kill -9 everything mid-sweep — the sweeping client, the supervisor
+/// and every worker — then restart the fleet on the same store and run
+/// directories. Nothing records in-flight work, and nothing needs to:
+/// every cell committed before the kill is served as a hit, the rest are
+/// recomputed, and the new sweep's artifact is byte-identical to the
+/// fault-free reference.
 #[test]
-fn journal_replay_redispatches_orphaned_cells() {
-    let base = temp_dir("journal");
+fn whole_fleet_kill_mid_sweep_loses_no_committed_cell() {
+    let base = temp_dir("wholekill");
     let sock = base.join("sup.sock");
-    let mut sup = spawn_fleet(&base, &sock, 2, &["--test-cells"]);
+    let store = base.join("store");
+    let reference = reference_sweep(&base);
+    let mut sup = spawn_fleet(&base, &sock, 2, &[]);
 
-    // Park a slow cell in flight, then murder everything mid-cell.
-    let cell_sock = format!("unix:{}", sock.display());
-    let doomed = std::thread::spawn(move || {
-        Command::new(env!("CARGO_BIN_EXE_campaign_client"))
-            .args(["--connect", &cell_sock, "--cell", "__sleep:5000", "--config", "fac"])
-            .output()
-            .unwrap()
-    });
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let text =
-            std::fs::read_to_string(base.join("run").join("dispatch.jsonl")).unwrap_or_default();
-        if text.contains("\"dispatch\"") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "cell never journaled");
-        std::thread::sleep(Duration::from_millis(20));
+    let mut sweeper = Command::new(env!("CARGO_BIN_EXE_campaign_client"))
+        .arg("--connect")
+        .arg(format!("unix:{}", sock.display()))
+        .args(["--smoke", "--json"])
+        .arg(base.join("doomed.json"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(300);
+    while cell_files(&store).len() < 3 {
+        assert!(Instant::now() < deadline, "no cells committed before deadline");
+        std::thread::sleep(Duration::from_millis(10));
     }
     let pids = worker_rows(&fleet_stats(&sock));
+    send_signal(u64::from(sweeper.id()), "KILL");
     send_signal(u64::from(sup.id()), "KILL");
     for (pid, _) in &pids {
         send_signal(*pid, "KILL");
     }
+    sweeper.wait().unwrap();
     sup.wait().unwrap();
-    let _ = doomed.join().unwrap(); // the client lost its fleet; that's the point
+    for (pid, _) in &pids {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !pid_exited(*pid) {
+            assert!(Instant::now() < deadline, "worker {pid} survived kill -9");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    let committed = cell_files(&store).len();
+    assert!(committed < 38, "the sweep finished before the kill; nothing was interrupted");
 
-    // Restart on the same run and store directories. Boot replays the
-    // journal tail: the orphaned cell is re-dispatched (and, being a
-    // sleep cell, recomputed) before the endpoint is announced.
-    let mut sup = spawn_fleet(&base, &sock, 2, &["--test-cells"]);
-    let fleet = fleet_stats(&sock);
-    assert!(leaf(&fleet, "redispatched") >= 1, "orphan not re-dispatched: {fleet}");
-    let err = std::fs::read_to_string(base.join("sup.err")).unwrap();
-    assert!(err.contains("replaying 1 incomplete dispatch"), "{err}");
+    let mut sup = spawn_fleet(&base, &sock, 2, &[]);
+    let resumed = base.join("resumed.json");
+    let out = sweep(&sock, &resumed);
+    assert!(out.status.success(), "sweep after the restart failed: {out:?}");
+    assert_eq!(
+        std::fs::read(&reference).unwrap(),
+        std::fs::read(&resumed).unwrap(),
+        "artifact after a whole-fleet kill -9 differs from the fault-free run"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("cache hits: {committed}/38")),
+        "every cell committed before the kill ({committed}) must be a hit: {stdout}"
+    );
 
+    send_signal(u64::from(sup.id()), "TERM");
+    assert_eq!(wait_exit(&mut sup, 60).code(), Some(0), "drain must exit 0");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// One HTTP exchange with a health endpoint: `request` out, the whole
+/// response (head and body) back.
+fn http(addr: SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream.write_all(request).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response
+}
+
+/// Drives one health endpoint through every path it routes, then checks
+/// that an idle scraper holds up neither a cell RPC on `sock` nor the
+/// next scrape. `series` names a metric the process's exposition has.
+fn check_health_endpoint(sock: &Path, addr: SocketAddr, series: &str) {
+    let get = |path: &str| http(addr, format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes());
+    let healthz = get("/healthz");
+    assert!(healthz.starts_with("HTTP/1.0 200 OK\r\n"), "{healthz}");
+    assert!(healthz.ends_with("\r\n\r\nok\n"), "{healthz}");
+    let readyz = get("/readyz?verbose=1");
+    assert!(readyz.starts_with("HTTP/1.0 200 OK\r\n"), "{readyz}");
+    assert!(readyz.ends_with("\r\n\r\nready\n"), "{readyz}");
+    let metrics = get("/metrics");
+    assert!(metrics.starts_with("HTTP/1.0 200 OK\r\n"), "{metrics}");
+    assert!(metrics.contains(&format!("# TYPE {series} ")), "{metrics}");
+    let missing = get("/favicon.ico");
+    assert!(missing.starts_with("HTTP/1.0 404 Not Found\r\n"), "{missing}");
+    // A head that cannot be parsed still gets the exposition.
+    let garbled = http(addr, b"\xff\xfe\r\n\r\n");
+    assert!(garbled.starts_with("HTTP/1.0 200 OK\r\n"), "{garbled}");
+    assert!(garbled.contains(&format!("# TYPE {series} ")), "{garbled}");
+
+    // An idle scraper holds its connection for the endpoint's 2 s read
+    // deadline; a cell RPC and a second scrape must both finish well
+    // inside that.
+    let idle = TcpStream::connect(addr).unwrap();
+    let start = Instant::now();
+    let endpoint = Endpoint::Unix(sock.to_path_buf());
+    let mut client = Client::connect(&endpoint, Duration::from_secs(30)).unwrap();
+    let resp = client.rpc(&Request::Cell(cell_request("__sleep:1", "fac", Scale::Smoke))).unwrap();
+    assert!(matches!(resp, Response::Cell { .. }), "cell RPC refused: {resp:?}");
+    let second = get("/metrics");
+    assert!(second.contains(&format!("# TYPE {series} ")), "{second}");
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_millis(1500), "an idle scraper held things up: {elapsed:?}");
+    drop(idle);
+}
+
+/// The campaign server and the supervisor serve `/healthz`, `/readyz`
+/// and `/metrics` through one shared endpoint: same routes, same 404,
+/// same answer to a garbled head, and an idle scraper blocks nothing.
+#[test]
+fn health_endpoint_is_shared_by_server_and_supervisor() {
+    let base = temp_dir("health");
+    let srv_sock = base.join("srv.sock");
+    let mut server = Command::new(env!("CARGO_BIN_EXE_campaign_server"))
+        .arg("--listen")
+        .arg(format!("unix:{}", srv_sock.display()))
+        .arg("--store-dir")
+        .arg(base.join("srv-store"))
+        .args(["--metrics", "127.0.0.1:0", "--test-cells"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let addr = metrics_addr(&mut server);
+    check_health_endpoint(&srv_sock, addr, "faccell_requests_total");
+    send_signal(u64::from(server.id()), "TERM");
+    assert_eq!(wait_exit(&mut server, 60).code(), Some(0), "server drain must exit 0");
+
+    let sock = base.join("sup.sock");
+    let mut sup = spawn_fleet(&base, &sock, 2, &["--test-cells", "--metrics", "127.0.0.1:0"]);
+    let addr = metrics_addr(&mut sup);
+    check_health_endpoint(&sock, addr, "facfleet_quorum");
     send_signal(u64::from(sup.id()), "TERM");
     assert_eq!(wait_exit(&mut sup, 60).code(), Some(0), "drain must exit 0");
     std::fs::remove_dir_all(&base).ok();

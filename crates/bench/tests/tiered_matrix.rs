@@ -6,7 +6,7 @@
 //! contract: the whole `tiered_run` experiment renders byte-identical
 //! tables and JSON at any worker count.
 
-use fac_bench::experiments::tiered_run;
+use fac_bench::experiments::only;
 use fac_bench::{build_suite, Cx};
 use fac_sim::tier::run_fast_verified;
 use fac_sim::{Machine, MachineConfig};
@@ -62,9 +62,9 @@ fn suite_matrix_three_way_differential() {
 /// lanes at any `--jobs` count.
 #[test]
 fn tiered_run_experiment_is_byte_identical_at_any_job_count() {
-    let serial = tiered_run(&Cx::simple(Scale::Smoke, 1)).unwrap();
+    let serial = only("tiered_run", &Cx::simple(Scale::Smoke, 1)).unwrap();
     for jobs in [2usize, 8] {
-        let parallel = tiered_run(&Cx::simple(Scale::Smoke, jobs)).unwrap();
+        let parallel = only("tiered_run", &Cx::simple(Scale::Smoke, jobs)).unwrap();
         assert_eq!(serial.human, parallel.human, "human table differs at jobs={jobs}");
         assert_eq!(
             serial.json.to_pretty(2),
