@@ -25,6 +25,7 @@
 //! protocol endpoint-to-endpoint).
 
 use crate::io::{Fs, RealFs};
+use crate::serve::server::lock;
 use crate::serve::{Conn, Endpoint};
 use fac_core::rng::{splitmix64, SplitMix64};
 use fac_sim::SimError;
@@ -34,13 +35,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Recovers a mutex even if a holder panicked (fault-injection tests
-/// exercise exactly those paths; the guarded state stays consistent
-/// because every critical section is a few field updates).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 // ---------------------------------------------------------------------------
 // Filesystem fault plans

@@ -33,6 +33,14 @@
 //! aggregated `stats`, per-worker `fleet-stats`, and transparent `cell`
 //! forwarding — a `ResilientClient` pointed at the supervisor cannot
 //! tell it is not a single server, except that it survives `kill -9`.
+//!
+//! **Metrics** come from two tables ([`crate::telemetry::Metric`]). The
+//! supervisor's own `METRICS` table renders the `fleet` object of `stats`,
+//! the top of `fleet-stats` and `/metrics`. The aggregated `stats` walks
+//! the *server's* table over the workers' own `stats`: counters and the
+//! load gauges are summed, the shared store's size comes from one
+//! worker, `store_degraded` is set if any worker sets it, and latency
+//! histograms stay per worker.
 
 use crate::chaos::Backoff;
 use crate::serve::client::Client;
@@ -40,9 +48,9 @@ use crate::serve::proto::{
     parse_request, read_line, render_response, write_line, ErrorKind, LineEvent, Request,
     Response,
 };
-use crate::serve::server::Shutdown;
+use crate::serve::server::{self, lock, Shutdown};
 use crate::serve::{cell_identity, Conn, Endpoint, Listener};
-use crate::telemetry::{spawn_health_endpoint, Exposition};
+use crate::telemetry::{self, spawn_health_endpoint, Kind, Metric};
 use fac_core::rng::splitmix64;
 use fac_core::snap::{fnv1a, FNV_OFFSET};
 use fac_sim::obs::Json;
@@ -61,11 +69,6 @@ const BOOT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// How long a drained worker gets to exit on SIGTERM before SIGKILL.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
-
-/// Recovers a mutex even if a holder panicked.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Raw `kill(2)`: the drain path needs SIGTERM and the miss-budget path
 /// SIGKILL, both aimed at child pids std's `Child` API can also signal —
@@ -210,25 +213,45 @@ impl Worker {
     }
 }
 
-/// Supervisor-level monotonic counters.
+/// Supervisor-level monotonic counters. What each one counts is the HELP
+/// text of its row in [`METRICS`].
 #[derive(Debug, Default)]
 struct FleetCounters {
-    /// Requests accepted from clients (all kinds).
     requests: AtomicU64,
-    /// Cell forwards attempted (including failover re-forwards).
     forwarded: AtomicU64,
-    /// Forwards that failed over to another worker inline — the "no
-    /// cell lost" counter.
     failovers: AtomicU64,
-    /// Worker respawns.
     restarts: AtomicU64,
-    /// Workers quarantined for crash-looping.
     quarantined: AtomicU64,
-    /// Heartbeat pings that went unanswered.
     heartbeat_misses: AtomicU64,
-    /// Cells a client saw refused because no worker was reachable.
     unrouted: AtomicU64,
 }
+
+/// The supervisor's metrics table: every supervision metric once. The
+/// `fleet` object of `stats`, the top of `fleet-stats` and `/metrics`
+/// are rendered from it; the workers' own metrics come from the server's
+/// table ([`server::METRICS`]).
+static METRICS: &[Metric<Shared>] = &[
+    Metric::new("workers", Kind::Gauge(|s| s.alive().1 as u64),
+        0, "facfleet_workers", None, "Configured fleet size."),
+    Metric::new("alive", Kind::Gauge(|s| s.alive().0 as u64),
+        1, "facfleet_workers_alive", None, "Workers in a routable state."),
+    Metric::new("quorum", Kind::Flag(Shared::quorum),
+        2, "facfleet_quorum", None, "1 when a majority of workers is routable."),
+    Metric::new("requests", Kind::Counter(|s| &s.counters.requests),
+        3, "facfleet_requests_total", None, "Client requests accepted."),
+    Metric::new("forwarded", Kind::Counter(|s| &s.counters.forwarded),
+        4, "facfleet_forwarded_total", None, "Cell forwards attempted."),
+    Metric::new("failovers", Kind::Counter(|s| &s.counters.failovers),
+        5, "facfleet_failovers_total", None, "Inline forward failovers."),
+    Metric::new("restarts", Kind::Counter(|s| &s.counters.restarts),
+        6, "facfleet_restarts_total", None, "Worker respawns."),
+    Metric::new("quarantined", Kind::Counter(|s| &s.counters.quarantined),
+        7, "facfleet_quarantined_total", None, "Workers quarantined for crash-looping."),
+    Metric::new("heartbeat_misses", Kind::Counter(|s| &s.counters.heartbeat_misses),
+        8, "facfleet_heartbeat_misses_total", None, "Heartbeat pings that went unanswered."),
+    Metric::new("unrouted", Kind::Counter(|s| &s.counters.unrouted),
+        9, "facfleet_unrouted_total", None, "Cells refused because no worker was reachable."),
+];
 
 /// State shared between the accept loop, per-client threads, the
 /// supervision thread, and the metrics listener.
@@ -396,7 +419,7 @@ impl Fleet {
                 listener,
                 self.shared.shutdown.clone(),
                 move || if ready.quorum() { Ok(()) } else { Err("no fleet quorum") },
-                move || fleet_exposition(&render),
+                move || telemetry::exposition(METRICS, render.as_ref()),
             )
         });
         let mut clients: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -688,82 +711,24 @@ fn worker_stats(endpoint: &Endpoint) -> Option<Json> {
     }
 }
 
-/// The supervisor's `stats` response: worker counters summed, plus a
-/// `fleet` sub-object with the supervision lanes. Field names mirror a
-/// single server's so `campaign_top` and scripts keep working.
+/// The supervisor's `stats` response: the workers' `stats` folded row by
+/// row through the server's metrics table — counters and load gauges
+/// summed, the shared store's size from one worker, latency histograms
+/// left per worker — plus a `fleet` object with the supervision lanes.
 fn aggregate_stats(shared: &Arc<Shared>) -> Json {
-    let rows: Vec<(usize, Endpoint)> =
-        lock(&shared.workers).iter().map(|w| (w.index, w.endpoint.clone())).collect();
-    let mut doc = Json::obj();
-    let mut sums: Vec<(&str, u64)> = [
-        "hits",
-        "misses",
-        "coalesced",
-        "sheds",
-        "quarantined",
-        "sim_errors",
-        "conn_panics",
-        "store_put_errors",
-        "store_read_errors",
-        "scrub_passes",
-        "scrub_scanned",
-        "scrub_corrupt",
-        "inflight",
-    ]
-    .iter()
-    .map(|k| (*k, 0u64))
-    .collect();
-    let mut entries = 0u64;
-    let mut build_version = None;
-    for (_, endpoint) in &rows {
-        let Some(stats) = worker_stats(endpoint) else { continue };
-        for (key, sum) in &mut sums {
-            *sum += stats.get(key).and_then(Json::as_u64).unwrap_or(0);
-        }
-        // The store is shared: entries is a point-in-time gauge, not a
-        // sum — any worker's view will do.
-        entries = stats.get("entries").and_then(Json::as_u64).unwrap_or(entries);
-        if build_version.is_none() {
-            build_version = stats.get("build_version").and_then(Json::as_str).map(str::to_string);
-        }
-    }
-    for (key, sum) in sums {
-        doc.set(key, Json::U64(sum));
-    }
-    doc.set("entries", Json::U64(entries));
-    if let Some(v) = build_version {
-        doc.set("build_version", Json::Str(v));
-    }
-    doc.set("uptime_secs", Json::U64(shared.started.elapsed().as_secs()));
-    doc.set("fleet", fleet_summary(shared));
+    let endpoints: Vec<Endpoint> =
+        lock(&shared.workers).iter().map(|w| w.endpoint.clone()).collect();
+    let docs: Vec<Json> = endpoints.iter().filter_map(worker_stats).collect();
+    let mut doc = telemetry::merge_stats(server::METRICS, &docs, shared.started);
+    doc.set("fleet", telemetry::stats_json(METRICS, shared.as_ref()));
     doc
 }
 
-/// The supervision lanes alone (embedded under `"fleet"` in stats and at
-/// the top of `fleet-stats`).
-fn fleet_summary(shared: &Arc<Shared>) -> Json {
-    let c = &shared.counters;
-    let get = |a: &AtomicU64| Json::U64(a.load(Ordering::Relaxed));
-    let (alive, total) = shared.alive();
-    let mut doc = Json::obj();
-    doc.set("workers", Json::U64(total as u64));
-    doc.set("alive", Json::U64(alive as u64));
-    doc.set("quorum", Json::Bool(shared.quorum()));
-    doc.set("requests", get(&c.requests));
-    doc.set("forwarded", get(&c.forwarded));
-    doc.set("failovers", get(&c.failovers));
-    doc.set("restarts", get(&c.restarts));
-    doc.set("quarantined", get(&c.quarantined));
-    doc.set("heartbeat_misses", get(&c.heartbeat_misses));
-    doc.set("unrouted", get(&c.unrouted));
-    doc
-}
-
-/// The `fleet-stats` response: the summary plus one row per worker,
-/// each enriched (best-effort) with the worker's own hit/miss/inflight
-/// counters so `campaign_top` can show per-worker hit ratios.
+/// The `fleet-stats` response: the supervision lanes plus one row per
+/// worker, each enriched (best-effort) with the worker's own counters
+/// and load gauges so `campaign_top` can show per-worker hit ratios.
 fn fleet_stats(shared: &Arc<Shared>) -> Json {
-    let mut doc = fleet_summary(shared);
+    let mut doc = telemetry::stats_json(METRICS, shared.as_ref());
     let snapshot: Vec<(usize, Endpoint, i32, &'static str, u64, u32, u64)> = lock(&shared.workers)
         .iter()
         .map(|w| {
@@ -790,8 +755,11 @@ fn fleet_stats(shared: &Arc<Shared>) -> Json {
         row.set("forwarded", Json::U64(forwarded));
         if state != "quarantined" && state != "restarting" {
             if let Some(stats) = worker_stats(&endpoint) {
-                for key in ["hits", "misses", "coalesced", "inflight"] {
-                    row.set(key, Json::U64(stats.get(key).and_then(Json::as_u64).unwrap_or(0)));
+                for m in server::METRICS {
+                    if matches!(m.kind, Kind::Counter(_) | Kind::Gauge(_)) {
+                        let value = stats.get(m.key).and_then(Json::as_u64).unwrap_or(0);
+                        row.set(m.key, Json::U64(value));
+                    }
                 }
             }
         }
@@ -799,39 +767,6 @@ fn fleet_stats(shared: &Arc<Shared>) -> Json {
     }
     doc.set("rows", Json::Arr(rows));
     doc
-}
-
-/// Prometheus exposition for the supervisor's own lanes.
-fn fleet_exposition(shared: &Arc<Shared>) -> String {
-    let c = &shared.counters;
-    let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let (alive, total) = shared.alive();
-    let mut exp = Exposition::new();
-    exp.gauge("facfleet_workers", "Configured fleet size.", &[], total as f64);
-    exp.gauge("facfleet_workers_alive", "Workers in a routable state.", &[], alive as f64);
-    exp.gauge(
-        "facfleet_quorum",
-        "1 when a majority of workers is routable.",
-        &[],
-        f64::from(u8::from(shared.quorum())),
-    );
-    exp.counter("facfleet_requests_total", "Client requests accepted.", &[], get(&c.requests));
-    exp.counter("facfleet_forwarded_total", "Cell forwards attempted.", &[], get(&c.forwarded));
-    exp.counter("facfleet_failovers_total", "Inline forward failovers.", &[], get(&c.failovers));
-    exp.counter("facfleet_restarts_total", "Worker respawns.", &[], get(&c.restarts));
-    exp.counter(
-        "facfleet_quarantined_total",
-        "Workers quarantined for crash-looping.",
-        &[],
-        get(&c.quarantined),
-    );
-    exp.counter(
-        "facfleet_heartbeat_misses_total",
-        "Heartbeat pings that went unanswered.",
-        &[],
-        get(&c.heartbeat_misses),
-    );
-    exp.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -1019,4 +954,61 @@ mod tests {
             assert_eq!(order[0], survivor_order[0], "losing a non-primary moved the primary");
         }
     }
+
+    /// The supervisor's exposition and `fleet` lanes, pinned on a fleet
+    /// with no workers. The golden text was generated from the
+    /// hand-written renderer the metrics table replaced, plus the
+    /// `facfleet_unrouted_total` series it was missing. The merged
+    /// `stats` carries every worker field of the server's table.
+    #[test]
+    fn exposition_and_stats_keep_their_golden_shape() {
+        let shared = Arc::new(Shared {
+            opts: FleetOptions::new("campaign_server", "store", "run"),
+            workers: Mutex::new(Vec::new()),
+            counters: FleetCounters::default(),
+            started: Instant::now(),
+            shutdown: Shutdown::new(),
+        });
+        assert_eq!(
+            telemetry::exposition(METRICS, shared.as_ref()),
+            "# HELP facfleet_workers Configured fleet size.\n\
+             # TYPE facfleet_workers gauge\n\
+             facfleet_workers 0\n\
+             # HELP facfleet_workers_alive Workers in a routable state.\n\
+             # TYPE facfleet_workers_alive gauge\n\
+             facfleet_workers_alive 0\n\
+             # HELP facfleet_quorum 1 when a majority of workers is routable.\n\
+             # TYPE facfleet_quorum gauge\n\
+             facfleet_quorum 0\n\
+             # HELP facfleet_requests_total Client requests accepted.\n\
+             # TYPE facfleet_requests_total counter\n\
+             facfleet_requests_total 0\n\
+             # HELP facfleet_forwarded_total Cell forwards attempted.\n\
+             # TYPE facfleet_forwarded_total counter\n\
+             facfleet_forwarded_total 0\n\
+             # HELP facfleet_failovers_total Inline forward failovers.\n\
+             # TYPE facfleet_failovers_total counter\n\
+             facfleet_failovers_total 0\n\
+             # HELP facfleet_restarts_total Worker respawns.\n\
+             # TYPE facfleet_restarts_total counter\n\
+             facfleet_restarts_total 0\n\
+             # HELP facfleet_quarantined_total Workers quarantined for crash-looping.\n\
+             # TYPE facfleet_quarantined_total counter\n\
+             facfleet_quarantined_total 0\n\
+             # HELP facfleet_heartbeat_misses_total Heartbeat pings that went unanswered.\n\
+             # TYPE facfleet_heartbeat_misses_total counter\n\
+             facfleet_heartbeat_misses_total 0\n\
+             # HELP facfleet_unrouted_total Cells refused because no worker was reachable.\n\
+             # TYPE facfleet_unrouted_total counter\n\
+             facfleet_unrouted_total 0\n"
+        );
+        let fleet = "{\"workers\":0,\"alive\":0,\"quorum\":false,\"requests\":0,\"forwarded\":0,\"failovers\":0,\"restarts\":0,\"quarantined\":0,\"heartbeat_misses\":0,\"unrouted\":0}";
+        assert_eq!(fleet_stats(&shared).to_string(), fleet.replace('}', ",\"rows\":[]}"));
+        let stats = aggregate_stats(&shared);
+        assert_eq!(stats.get("fleet").map(Json::to_string).as_deref(), Some(fleet));
+        for m in server::METRICS.iter().filter(|m| !matches!(m.kind, Kind::Hist(_) | Kind::Text(_))) {
+            assert!(stats.get(m.key).is_some(), "supervisor stats lacks {}", m.key);
+        }
+    }
+
 }

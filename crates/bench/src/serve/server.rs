@@ -30,14 +30,15 @@
 //!
 //! **Telemetry** (DESIGN.md §12): every request is timed as a span split
 //! into queue / coalesce / simulate / commit / serialize phases and keyed
-//! by a trace id (client-supplied or server-minted). The phase and total
-//! latencies land in mergeable [`Hist`]ograms served three ways: the
-//! `stats` response grows a `latency` object, `--metrics <addr>` serves
-//! Prometheus text exposition over a read-only HTTP/1.0 listener that
-//! bypasses the admission gate (scrapes keep working while cell traffic
-//! is being shed), and `--access-log <path>` writes one structured JSONL
-//! line per request through the same latched-error
-//! [`fac_sim::obs::JsonlWriter`] the event streams use.
+//! by a trace id (client-supplied or server-minted). Cell requests' phase
+//! and total latencies land in mergeable [`Hist`]ograms. Every metric is
+//! one row of `METRICS`, which renders both the `stats` response and
+//! the Prometheus text exposition `--metrics <addr>` serves over a
+//! read-only HTTP/1.0 listener that bypasses the admission gate (scrapes
+//! keep working while cell traffic is being shed). `--access-log <path>`
+//! writes one structured JSONL line per request, cell or not, through
+//! the same latched-error [`fac_sim::obs::JsonlWriter`] the event streams
+//! use.
 
 use super::proto::{
     parse_request, read_line, render_response, write_line, ErrorKind, LineEvent, Request,
@@ -50,7 +51,7 @@ use super::{
 };
 use crate::par::{JobSet, RunOptions};
 use crate::serve::proto::CellRequest;
-use crate::telemetry::{Exposition, Hist};
+use crate::telemetry::{self, Hist, Kind, Metric};
 use fac_asm::Program;
 use fac_core::snap::{fnv1a, FNV_OFFSET};
 use fac_sim::obs::{Json, JsonlWriter};
@@ -71,11 +72,11 @@ const POLL: Duration = Duration::from_millis(50);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Locks a mutex, recovering the data from a poisoned lock: a panic on
-/// one connection thread must never wedge the whole server (the data the
-/// server guards — counters, the in-flight map, the store handle — stays
-/// consistent because every critical section is a few straight-line
-/// statements).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// one connection thread must never wedge the whole server, supervisor
+/// or chaos harness (the data they guard — counters, the in-flight map,
+/// the store handle, worker tables, fault schedules — stays consistent
+/// because every critical section is a few straight-line statements).
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -170,39 +171,105 @@ impl Shutdown {
     }
 }
 
-/// Monotonic service counters, reported by the `stats` request.
+/// Monotonic service counters. What each one counts is the HELP text of
+/// its row in [`METRICS`].
 #[derive(Debug, Default)]
 struct Counters {
-    /// Cells answered from the store.
     hits: AtomicU64,
-    /// Cells simulated fresh.
     misses: AtomicU64,
-    /// Cells answered by piggybacking on another connection's simulation.
     coalesced: AtomicU64,
-    /// Requests shed by the admission bound.
     sheds: AtomicU64,
-    /// Store entries that failed verification and were quarantined.
     quarantined: AtomicU64,
-    /// Simulations that ended in a typed error (panic, timeout, ...).
     sim_errors: AtomicU64,
-    /// Connection threads that panicked outside the job boundary.
     conn_panics: AtomicU64,
-    /// Store writes that failed (the result was still served).
     store_put_errors: AtomicU64,
-    /// Store reads that failed with a real I/O error; the cell was
-    /// recomputed (compute-through) instead of refused.
     store_read_errors: AtomicU64,
-    /// Store writes skipped while the store was degraded.
     store_put_skipped: AtomicU64,
-    /// Times the store entered degraded (read-only/compute-through) mode.
     degraded_intervals: AtomicU64,
-    /// Completed background scrub passes over the store.
     scrub_passes: AtomicU64,
-    /// Frames the scrubber has verified (all passes).
     scrub_scanned: AtomicU64,
-    /// Frames the scrubber found corrupt and quarantined.
     scrub_corrupt: AtomicU64,
 }
+
+/// HELP text shared by the rows of one series.
+const REQUESTS: &str = "Cell requests by outcome.";
+const PHASES: &str = "Cell request latency per phase, microseconds.";
+
+/// The server's metrics table (DESIGN.md §12): every metric once, in
+/// `stats` key order. The `stats` response and `/metrics` are rendered
+/// from it, and the supervisor walks it to fold its workers' `stats`.
+/// Ranks keep the exposition's series in the order scrapers know.
+pub(crate) static METRICS: &[Metric<Shared>] = &[
+    Metric::new("hits", Kind::Counter(|s| &s.counters.hits),
+        0, "faccell_requests_total", Some(("outcome", "hit")), REQUESTS),
+    Metric::new("misses", Kind::Counter(|s| &s.counters.misses),
+        0, "faccell_requests_total", Some(("outcome", "miss")), REQUESTS),
+    Metric::new("coalesced", Kind::Counter(|s| &s.counters.coalesced),
+        0, "faccell_requests_total", Some(("outcome", "coalesced")), REQUESTS),
+    Metric::new("sheds", Kind::Counter(|s| &s.counters.sheds),
+        0, "faccell_requests_total", Some(("outcome", "shed")), REQUESTS),
+    Metric::new("quarantined", Kind::Counter(|s| &s.counters.quarantined),
+        1, "faccell_quarantined_total", None,
+        "Store entries quarantined after failing verification."),
+    Metric::new("sim_errors", Kind::Counter(|s| &s.counters.sim_errors),
+        0, "faccell_requests_total", Some(("outcome", "sim_error")), REQUESTS),
+    Metric::new("conn_panics", Kind::Counter(|s| &s.counters.conn_panics),
+        2, "faccell_conn_panics_total", None,
+        "Connection threads that panicked outside the job boundary."),
+    Metric::new("store_put_errors", Kind::Counter(|s| &s.counters.store_put_errors),
+        3, "faccell_store_put_errors_total", None,
+        "Store writes that failed (the result was still served)."),
+    Metric::new("store_read_errors", Kind::Counter(|s| &s.counters.store_read_errors),
+        4, "faccell_store_read_errors_total", None,
+        "Store reads that failed and fell through to recomputation."),
+    Metric::new("store_put_skipped", Kind::Counter(|s| &s.counters.store_put_skipped),
+        5, "faccell_store_put_skipped_total", None,
+        "Store writes skipped while the store was degraded."),
+    Metric::new("degraded_intervals", Kind::Counter(|s| &s.counters.degraded_intervals),
+        6, "faccell_degraded_intervals_total", None,
+        "Times the store entered degraded (read-only) mode."),
+    Metric::new("scrub_passes", Kind::Counter(|s| &s.counters.scrub_passes),
+        7, "faccell_scrub_passes_total", None,
+        "Completed background scrub passes over the store."),
+    Metric::new("scrub_scanned", Kind::Counter(|s| &s.counters.scrub_scanned),
+        8, "faccell_scrub_scanned_total", None,
+        "Frames re-verified by the background scrubber."),
+    Metric::new("scrub_corrupt", Kind::Counter(|s| &s.counters.scrub_corrupt),
+        9, "faccell_scrub_corrupt_total", None,
+        "Frames the scrubber found corrupt and quarantined."),
+    Metric::new("store_degraded", Kind::Flag(Shared::store_degraded),
+        10, "faccell_store_degraded", None,
+        "1 while the store is in degraded (read-only) mode."),
+    Metric::new("entries", Kind::Shared(|s| lock(&s.store).len().unwrap_or(0) as u64),
+        14, "faccell_store_entries", None,
+        "Committed cells in the content-addressed store."),
+    Metric::new("admitted", Kind::Gauge(|s| s.admitted.load(Ordering::SeqCst) as u64),
+        12, "faccell_admitted", None,
+        "Simulations past the admission gate right now."),
+    Metric::new("uptime_secs", Kind::Uptime(|s| s.telemetry.started),
+        15, "faccell_uptime_seconds", None,
+        "Seconds since the server started."),
+    Metric::new("build_version", Kind::Text(|_| build_version()), 0, "", None, ""),
+    Metric::new("inflight", Kind::Gauge(|s| lock(&s.inflight).len() as u64),
+        11, "faccell_inflight", None,
+        "Simulations registered for coalescing right now."),
+    Metric::new("max_queue", Kind::Gauge(|s| s.opts.max_queue as u64),
+        13, "faccell_queue_limit", None,
+        "Admission bound (--max-queue)."),
+    Metric::new("latency.request_us", Kind::Hist(|s| lock(&s.telemetry.request_us).clone()),
+        16, "faccell_request_us", None,
+        "Cell request latency across all phases, microseconds."),
+    Metric::new("latency.queue_us", Kind::Hist(|s| s.telemetry.phase(QUEUE)),
+        17, "faccell_phase_us", Some(("phase", "queue")), PHASES),
+    Metric::new("latency.coalesce_us", Kind::Hist(|s| s.telemetry.phase(COALESCE)),
+        17, "faccell_phase_us", Some(("phase", "coalesce")), PHASES),
+    Metric::new("latency.simulate_us", Kind::Hist(|s| s.telemetry.phase(SIMULATE)),
+        17, "faccell_phase_us", Some(("phase", "simulate")), PHASES),
+    Metric::new("latency.commit_us", Kind::Hist(|s| s.telemetry.phase(COMMIT)),
+        17, "faccell_phase_us", Some(("phase", "commit")), PHASES),
+    Metric::new("latency.serialize_us", Kind::Hist(|s| s.telemetry.phase(SERIALIZE)),
+        17, "faccell_phase_us", Some(("phase", "serialize")), PHASES),
+];
 
 /// Span phases, in request order. `queue` is everything before a role is
 /// decided (parse, resolve, store lookup, admission), `coalesce` is a
@@ -285,16 +352,27 @@ impl Telemetry {
         )
     }
 
-    /// Folds a finished span into the histograms and, when enabled,
-    /// appends its access-log line. Called for every request, successful
-    /// or not — observability must not depend on the happy path.
+    /// One phase's histogram, copied out.
+    fn phase(&self, phase: usize) -> Hist {
+        lock(&self.phase_us[phase]).clone()
+    }
+
+    /// Folds a finished span into the histograms when it is a cell
+    /// request and, when enabled, appends its access-log line. Every
+    /// request gets its log line, successful or not — observability must
+    /// not depend on the happy path — but only cells are timed: the
+    /// supervisor's heartbeat pings and `stats` polls would otherwise
+    /// drown a worker's cell latencies.
     fn observe(&self, span: &Span, peer: &str, slow_ms: u64) {
         let total: Duration = span.phases.iter().sum();
         let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-        lock(&self.request_us).record(us(total));
-        for (hist, d) in self.phase_us.iter().zip(span.phases.iter()) {
-            if !d.is_zero() {
-                lock(hist).record(us(*d));
+        // Only cell requests name a workload.
+        if span.workload.is_some() {
+            lock(&self.request_us).record(us(total));
+            for (hist, d) in self.phase_us.iter().zip(span.phases.iter()) {
+                if !d.is_zero() {
+                    lock(hist).record(us(*d));
+                }
             }
         }
         let Some(log) = &self.access else { return };
@@ -376,7 +454,7 @@ struct Degrade {
 }
 
 /// State shared by every connection thread.
-struct Shared {
+pub(crate) struct Shared {
     opts: ServeOptions,
     store: Mutex<Store>,
     degrade: Mutex<Degrade>,
@@ -571,7 +649,7 @@ impl Server {
                         Ok(())
                     }
                 },
-                move || exposition(&render),
+                move || telemetry::exposition(METRICS, &render),
             )
         });
         // The store scrubber is a low-priority anti-entropy walk: it
@@ -702,7 +780,8 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> (Response, Span) {
     match req {
         Request::Ping => (Response::Pong, Span::new(shared.telemetry.mint(), "ping")),
         Request::Stats => {
-            (Response::Stats(stats_json(shared)), Span::new(shared.telemetry.mint(), "stats"))
+            let stats = telemetry::stats_json(METRICS, shared.as_ref());
+            (Response::Stats(stats), Span::new(shared.telemetry.mint(), "stats"))
         }
         // A lone server has no fleet; `campaign_top` uses this refusal
         // to fall back to single-server stats.
@@ -736,176 +815,10 @@ fn with_trace(mut resp: Response, echo: &Option<String>) -> Response {
     resp
 }
 
-/// The service counters as a JSON document.
-fn stats_json(shared: &Arc<Shared>) -> Json {
-    let c = &shared.counters;
-    let store = lock(&shared.store);
-    let mut doc = Json::obj();
-    let get = |a: &AtomicU64| Json::U64(a.load(Ordering::Relaxed));
-    doc.set("hits", get(&c.hits));
-    doc.set("misses", get(&c.misses));
-    doc.set("coalesced", get(&c.coalesced));
-    doc.set("sheds", get(&c.sheds));
-    doc.set("quarantined", get(&c.quarantined));
-    doc.set("sim_errors", get(&c.sim_errors));
-    doc.set("conn_panics", get(&c.conn_panics));
-    doc.set("store_put_errors", get(&c.store_put_errors));
-    doc.set("store_read_errors", get(&c.store_read_errors));
-    doc.set("store_put_skipped", get(&c.store_put_skipped));
-    doc.set("degraded_intervals", get(&c.degraded_intervals));
-    doc.set("scrub_passes", get(&c.scrub_passes));
-    doc.set("scrub_scanned", get(&c.scrub_scanned));
-    doc.set("scrub_corrupt", get(&c.scrub_corrupt));
-    doc.set("store_degraded", Json::Bool(shared.store_degraded()));
-    doc.set("entries", Json::U64(store.len().unwrap_or(0) as u64));
-    doc.set("admitted", Json::U64(shared.admitted.load(Ordering::SeqCst) as u64));
-    let t = &shared.telemetry;
-    doc.set("uptime_secs", Json::U64(t.started.elapsed().as_secs()));
-    doc.set("build_version", Json::Str(build_version()));
-    doc.set("inflight", Json::U64(lock(&shared.inflight).len() as u64));
-    doc.set("max_queue", Json::U64(shared.opts.max_queue as u64));
-    let mut latency = Json::obj();
-    latency.set("request_us", lock(&t.request_us).to_json());
-    for (name, hist) in PHASE_NAMES.iter().zip(t.phase_us.iter()) {
-        latency.set(&format!("{name}_us"), lock(hist).to_json());
-    }
-    doc.set("latency", latency);
-    doc
-}
-
 /// The crate version plus the catalog fingerprint: two servers report the
 /// same string exactly when they would produce comparable artifacts.
 fn build_version() -> String {
     format!("fac-bench {} cfg:{:#018x}", env!("CARGO_PKG_VERSION"), catalog_fingerprint())
-}
-
-/// Renders the whole service as Prometheus text exposition. Counter names
-/// mirror the `stats` response: `faccell_requests_total{outcome=...}`
-/// sums to the same totals the counters report.
-fn exposition(shared: &Arc<Shared>) -> String {
-    let c = &shared.counters;
-    let t = &shared.telemetry;
-    let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let mut exp = Exposition::new();
-    for (outcome, counter) in [
-        ("hit", &c.hits),
-        ("miss", &c.misses),
-        ("coalesced", &c.coalesced),
-        ("shed", &c.sheds),
-        ("sim_error", &c.sim_errors),
-    ] {
-        exp.counter(
-            "faccell_requests_total",
-            "Cell requests by outcome.",
-            &[("outcome", outcome)],
-            get(counter),
-        );
-    }
-    exp.counter(
-        "faccell_quarantined_total",
-        "Store entries quarantined after failing verification.",
-        &[],
-        get(&c.quarantined),
-    );
-    exp.counter(
-        "faccell_conn_panics_total",
-        "Connection threads that panicked outside the job boundary.",
-        &[],
-        get(&c.conn_panics),
-    );
-    exp.counter(
-        "faccell_store_put_errors_total",
-        "Store writes that failed (the result was still served).",
-        &[],
-        get(&c.store_put_errors),
-    );
-    exp.counter(
-        "faccell_store_read_errors_total",
-        "Store reads that failed and fell through to recomputation.",
-        &[],
-        get(&c.store_read_errors),
-    );
-    exp.counter(
-        "faccell_store_put_skipped_total",
-        "Store writes skipped while the store was degraded.",
-        &[],
-        get(&c.store_put_skipped),
-    );
-    exp.counter(
-        "faccell_degraded_intervals_total",
-        "Times the store entered degraded (read-only) mode.",
-        &[],
-        get(&c.degraded_intervals),
-    );
-    exp.counter(
-        "faccell_scrub_passes_total",
-        "Completed background scrub passes over the store.",
-        &[],
-        get(&c.scrub_passes),
-    );
-    exp.counter(
-        "faccell_scrub_scanned_total",
-        "Frames re-verified by the background scrubber.",
-        &[],
-        get(&c.scrub_scanned),
-    );
-    exp.counter(
-        "faccell_scrub_corrupt_total",
-        "Frames the scrubber found corrupt and quarantined.",
-        &[],
-        get(&c.scrub_corrupt),
-    );
-    exp.gauge(
-        "faccell_store_degraded",
-        "1 while the store is in degraded (read-only) mode.",
-        &[],
-        if shared.store_degraded() { 1.0 } else { 0.0 },
-    );
-    exp.gauge(
-        "faccell_inflight",
-        "Simulations registered for coalescing right now.",
-        &[],
-        lock(&shared.inflight).len() as f64,
-    );
-    exp.gauge(
-        "faccell_admitted",
-        "Simulations past the admission gate right now.",
-        &[],
-        shared.admitted.load(Ordering::SeqCst) as f64,
-    );
-    exp.gauge(
-        "faccell_queue_limit",
-        "Admission bound (--max-queue).",
-        &[],
-        shared.opts.max_queue as f64,
-    );
-    exp.gauge(
-        "faccell_store_entries",
-        "Committed cells in the content-addressed store.",
-        &[],
-        lock(&shared.store).len().unwrap_or(0) as f64,
-    );
-    exp.gauge(
-        "faccell_uptime_seconds",
-        "Seconds since the server started.",
-        &[],
-        t.started.elapsed().as_secs_f64(),
-    );
-    exp.histogram(
-        "faccell_request_us",
-        "Request latency across all phases, microseconds.",
-        &[],
-        &lock(&t.request_us).clone(),
-    );
-    for (name, hist) in PHASE_NAMES.iter().zip(t.phase_us.iter()) {
-        exp.histogram(
-            "faccell_phase_us",
-            "Per-phase request latency, microseconds.",
-            &[("phase", name)],
-            &lock(hist).clone(),
-        );
-    }
-    exp.finish()
 }
 
 /// The background store scrubber: every `scrub_interval_secs` it walks
@@ -1269,11 +1182,7 @@ mod tests {
     /// Boots a server on an ephemeral TCP port; returns the endpoint, the
     /// shutdown handle, and the running thread.
     fn boot(opts: ServeOptions) -> (Endpoint, Shutdown, std::thread::JoinHandle<Result<(), SimError>>) {
-        let server =
-            Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), opts).unwrap();
-        let endpoint = server.endpoint();
-        let shutdown = server.shutdown_handle();
-        let handle = std::thread::spawn(move || server.run());
+        let (endpoint, shutdown, handle, _) = boot_shared(opts);
         (endpoint, shutdown, handle)
     }
 
@@ -1703,7 +1612,7 @@ mod tests {
         assert_eq!(version, &build_version());
         assert!(version.contains("cfg:0x"), "{version}");
         // The latency object carries the request histogram and all five
-        // phase lanes; the cell + this stats request both recorded.
+        // phase lanes; the cell is timed, this stats request is not.
         let latency = doc.get("latency").expect("latency object");
         let count = latency
             .get("request_us")
@@ -1965,4 +1874,222 @@ mod tests {
         let (head, body) = http_get(addr, "/healthz");
         head.starts_with("HTTP/1.0 200 OK") && body == "ok\n"
     }
+
+    /// [`boot`], also handing back the server's shared state so a test
+    /// can read the metrics table after the drain.
+    fn boot_shared(
+        opts: ServeOptions,
+    ) -> (Endpoint, Shutdown, std::thread::JoinHandle<Result<(), SimError>>, Arc<Shared>) {
+        let server =
+            Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), opts).unwrap();
+        let (endpoint, shutdown) = (server.endpoint(), server.shutdown_handle());
+        let shared = Arc::clone(&server.shared);
+        (endpoint, shutdown, std::thread::spawn(move || server.run()), shared)
+    }
+
+    /// The lone server's `stats` keys with their JSON types, and its
+    /// exposition's series, labels and HELP/TYPE lines, after one miss,
+    /// one hit and one shed. Both golden texts were generated from the
+    /// hand-written renderers the metrics table replaced; the only
+    /// difference is the two "Cell request" HELP lines.
+    #[test]
+    fn stats_and_exposition_keep_their_golden_shape() {
+        let dir = temp_dir("golden");
+        let (endpoint, shutdown, handle, shared) = boot_shared(test_opts(&dir));
+        let mut conn = Conn::dial(&endpoint).unwrap();
+        conn.set_read_timeout(Some(POLL)).unwrap();
+        let miss = rpc(&mut conn, &cell_req("__sleep:1", "fac"));
+        assert!(matches!(miss, Response::Cell { cached: false, .. }), "{miss:?}");
+        let hit = rpc(&mut conn, &cell_req("__sleep:1", "fac"));
+        assert!(matches!(hit, Response::Cell { cached: true, .. }), "{hit:?}");
+        shared.admitted.store(shared.opts.max_queue, Ordering::SeqCst);
+        let shed = rpc(&mut conn, &cell_req("__sleep:2", "fac"));
+        assert!(matches!(shed, Response::Error { kind: ErrorKind::Overloaded, .. }), "{shed:?}");
+        shared.admitted.store(0, Ordering::SeqCst);
+        shutdown.trigger();
+        handle.join().unwrap().unwrap();
+
+        assert_eq!(
+            telemetry::json_shape(&telemetry::stats_json(METRICS, shared.as_ref())),
+            "hits: u64\n\
+             misses: u64\n\
+             coalesced: u64\n\
+             sheds: u64\n\
+             quarantined: u64\n\
+             sim_errors: u64\n\
+             conn_panics: u64\n\
+             store_put_errors: u64\n\
+             store_read_errors: u64\n\
+             store_put_skipped: u64\n\
+             degraded_intervals: u64\n\
+             scrub_passes: u64\n\
+             scrub_scanned: u64\n\
+             scrub_corrupt: u64\n\
+             store_degraded: bool\n\
+             entries: u64\n\
+             admitted: u64\n\
+             uptime_secs: u64\n\
+             build_version: str\n\
+             inflight: u64\n\
+             max_queue: u64\n\
+             latency: obj\n\
+             latency.request_us: obj\n\
+             latency.request_us.count: u64\n\
+             latency.request_us.sum: u64\n\
+             latency.request_us.min: u64\n\
+             latency.request_us.max: u64\n\
+             latency.request_us.p50: f64\n\
+             latency.request_us.p90: f64\n\
+             latency.request_us.p99: f64\n\
+             latency.queue_us: obj\n\
+             latency.queue_us.count: u64\n\
+             latency.queue_us.sum: u64\n\
+             latency.queue_us.min: u64\n\
+             latency.queue_us.max: u64\n\
+             latency.queue_us.p50: f64\n\
+             latency.queue_us.p90: f64\n\
+             latency.queue_us.p99: f64\n\
+             latency.coalesce_us: obj\n\
+             latency.coalesce_us.count: u64\n\
+             latency.coalesce_us.sum: u64\n\
+             latency.coalesce_us.min: null\n\
+             latency.coalesce_us.max: null\n\
+             latency.coalesce_us.p50: f64\n\
+             latency.coalesce_us.p90: f64\n\
+             latency.coalesce_us.p99: f64\n\
+             latency.simulate_us: obj\n\
+             latency.simulate_us.count: u64\n\
+             latency.simulate_us.sum: u64\n\
+             latency.simulate_us.min: u64\n\
+             latency.simulate_us.max: u64\n\
+             latency.simulate_us.p50: f64\n\
+             latency.simulate_us.p90: f64\n\
+             latency.simulate_us.p99: f64\n\
+             latency.commit_us: obj\n\
+             latency.commit_us.count: u64\n\
+             latency.commit_us.sum: u64\n\
+             latency.commit_us.min: u64\n\
+             latency.commit_us.max: u64\n\
+             latency.commit_us.p50: f64\n\
+             latency.commit_us.p90: f64\n\
+             latency.commit_us.p99: f64\n\
+             latency.serialize_us: obj\n\
+             latency.serialize_us.count: u64\n\
+             latency.serialize_us.sum: u64\n\
+             latency.serialize_us.min: u64\n\
+             latency.serialize_us.max: u64\n\
+             latency.serialize_us.p50: f64\n\
+             latency.serialize_us.p90: f64\n\
+             latency.serialize_us.p99: f64\n"
+        );
+        assert_eq!(
+            telemetry::exposition_shape(&telemetry::exposition(METRICS, shared.as_ref())),
+            "# HELP faccell_requests_total Cell requests by outcome.\n\
+             # TYPE faccell_requests_total counter\n\
+             faccell_requests_total{outcome=\"hit\"}\n\
+             faccell_requests_total{outcome=\"miss\"}\n\
+             faccell_requests_total{outcome=\"coalesced\"}\n\
+             faccell_requests_total{outcome=\"shed\"}\n\
+             faccell_requests_total{outcome=\"sim_error\"}\n\
+             # HELP faccell_quarantined_total Store entries quarantined after failing verification.\n\
+             # TYPE faccell_quarantined_total counter\n\
+             faccell_quarantined_total\n\
+             # HELP faccell_conn_panics_total Connection threads that panicked outside the job boundary.\n\
+             # TYPE faccell_conn_panics_total counter\n\
+             faccell_conn_panics_total\n\
+             # HELP faccell_store_put_errors_total Store writes that failed (the result was still served).\n\
+             # TYPE faccell_store_put_errors_total counter\n\
+             faccell_store_put_errors_total\n\
+             # HELP faccell_store_read_errors_total Store reads that failed and fell through to recomputation.\n\
+             # TYPE faccell_store_read_errors_total counter\n\
+             faccell_store_read_errors_total\n\
+             # HELP faccell_store_put_skipped_total Store writes skipped while the store was degraded.\n\
+             # TYPE faccell_store_put_skipped_total counter\n\
+             faccell_store_put_skipped_total\n\
+             # HELP faccell_degraded_intervals_total Times the store entered degraded (read-only) mode.\n\
+             # TYPE faccell_degraded_intervals_total counter\n\
+             faccell_degraded_intervals_total\n\
+             # HELP faccell_scrub_passes_total Completed background scrub passes over the store.\n\
+             # TYPE faccell_scrub_passes_total counter\n\
+             faccell_scrub_passes_total\n\
+             # HELP faccell_scrub_scanned_total Frames re-verified by the background scrubber.\n\
+             # TYPE faccell_scrub_scanned_total counter\n\
+             faccell_scrub_scanned_total\n\
+             # HELP faccell_scrub_corrupt_total Frames the scrubber found corrupt and quarantined.\n\
+             # TYPE faccell_scrub_corrupt_total counter\n\
+             faccell_scrub_corrupt_total\n\
+             # HELP faccell_store_degraded 1 while the store is in degraded (read-only) mode.\n\
+             # TYPE faccell_store_degraded gauge\n\
+             faccell_store_degraded\n\
+             # HELP faccell_inflight Simulations registered for coalescing right now.\n\
+             # TYPE faccell_inflight gauge\n\
+             faccell_inflight\n\
+             # HELP faccell_admitted Simulations past the admission gate right now.\n\
+             # TYPE faccell_admitted gauge\n\
+             faccell_admitted\n\
+             # HELP faccell_queue_limit Admission bound (--max-queue).\n\
+             # TYPE faccell_queue_limit gauge\n\
+             faccell_queue_limit\n\
+             # HELP faccell_store_entries Committed cells in the content-addressed store.\n\
+             # TYPE faccell_store_entries gauge\n\
+             faccell_store_entries\n\
+             # HELP faccell_uptime_seconds Seconds since the server started.\n\
+             # TYPE faccell_uptime_seconds gauge\n\
+             faccell_uptime_seconds\n\
+             # HELP faccell_request_us Cell request latency across all phases, microseconds.\n\
+             # TYPE faccell_request_us histogram\n\
+             faccell_request_us_bucket{le=\"*\"}\n\
+             faccell_request_us_sum\n\
+             faccell_request_us_count\n\
+             # HELP faccell_phase_us Cell request latency per phase, microseconds.\n\
+             # TYPE faccell_phase_us histogram\n\
+             faccell_phase_us_bucket{phase=\"queue\",le=\"*\"}\n\
+             faccell_phase_us_sum{phase=\"queue\"}\n\
+             faccell_phase_us_count{phase=\"queue\"}\n\
+             faccell_phase_us_bucket{phase=\"coalesce\",le=\"*\"}\n\
+             faccell_phase_us_sum{phase=\"coalesce\"}\n\
+             faccell_phase_us_count{phase=\"coalesce\"}\n\
+             faccell_phase_us_bucket{phase=\"simulate\",le=\"*\"}\n\
+             faccell_phase_us_sum{phase=\"simulate\"}\n\
+             faccell_phase_us_count{phase=\"simulate\"}\n\
+             faccell_phase_us_bucket{phase=\"commit\",le=\"*\"}\n\
+             faccell_phase_us_sum{phase=\"commit\"}\n\
+             faccell_phase_us_count{phase=\"commit\"}\n\
+             faccell_phase_us_bucket{phase=\"serialize\",le=\"*\"}\n\
+             faccell_phase_us_sum{phase=\"serialize\"}\n\
+             faccell_phase_us_count{phase=\"serialize\"}\n"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Latency histograms time cell requests only; pings and `stats`
+    /// polls still get their access-log line.
+    #[test]
+    fn latency_times_cells_only_and_the_access_log_keeps_every_request() {
+        const PINGS: usize = 4;
+        let dir = temp_dir("cells_only");
+        let mut opts = test_opts(&dir);
+        opts.access_log = Some(dir.join("access.jsonl"));
+        let (endpoint, shutdown, handle, shared) = boot_shared(opts);
+        let mut conn = Conn::dial(&endpoint).unwrap();
+        conn.set_read_timeout(Some(POLL)).unwrap();
+        for _ in 0..PINGS {
+            assert_eq!(rpc(&mut conn, &Request::Ping), Response::Pong);
+        }
+        assert!(matches!(rpc(&mut conn, &Request::Stats), Response::Stats(_)));
+        assert!(matches!(rpc(&mut conn, &cell_req("__sleep:1", "fac")), Response::Cell { .. }));
+        assert!(matches!(rpc(&mut conn, &cell_req("__sleep:1", "fac")), Response::Cell { .. }));
+        shutdown.trigger();
+        handle.join().unwrap().unwrap();
+
+        let stats = telemetry::stats_json(METRICS, shared.as_ref());
+        let latency = stats.get("latency").expect("latency object");
+        let count = |lane: &str| latency.get(lane).and_then(|h| h.get("count")).and_then(Json::as_u64);
+        assert_eq!(count("request_us"), Some(2), "{stats}");
+        assert_eq!(count("serialize_us"), Some(2), "{stats}");
+        let log = std::fs::read_to_string(dir.join("access.jsonl")).unwrap();
+        assert_eq!(log.lines().count(), PINGS + 3, "{log}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
 }

@@ -1,5 +1,5 @@
-//! Serving-stack telemetry: mergeable latency histograms and Prometheus
-//! text exposition.
+//! Serving-stack telemetry: mergeable latency histograms, one metrics
+//! table per serving process, and Prometheus text exposition.
 //!
 //! The campaign server (DESIGN.md §11) was a black box in production:
 //! its `stats` request returned a handful of monotonic counters with no
@@ -13,10 +13,18 @@
 //!   union of both sample sets — pinned by a property test), so
 //!   per-worker or per-phase histograms can be combined without a shared
 //!   lock on the hot path.
+//! - [`Metric`] — one row of a process's metrics table. The campaign
+//!   server and the fleet supervisor each declare every metric once, in
+//!   one table next to their counters: its `stats` key, its Prometheus
+//!   series, label, HELP text and [`Kind`]. [`stats_json`] and
+//!   [`exposition`] render the two outputs by walking that table, and
+//!   [`merge_stats`] walks the server's table to fold the workers'
+//!   `stats` into the supervisor's, so no list of metric names exists
+//!   twice.
 //! - [`Exposition`] — a Prometheus *text exposition format* builder
 //!   (`# HELP`/`# TYPE` lines, counters, gauges, and cumulative
-//!   `_bucket`/`_sum`/`_count` histogram series) for the server's
-//!   `--metrics` endpoint. The grammar is documented in DESIGN.md §12.
+//!   `_bucket`/`_sum`/`_count` histogram series) behind [`exposition`].
+//!   The grammar is documented in DESIGN.md §12.
 //! - [`spawn_health_endpoint`] — the one `/healthz` / `/readyz` /
 //!   `/metrics` HTTP listener, shared by the campaign server and the
 //!   fleet supervisor; each passes its own readiness rule and exposition.
@@ -30,11 +38,12 @@
 //! interesting signal is the order of magnitude of the tail.
 
 use crate::serve::server::Shutdown;
-use fac_sim::obs::{Json, MetricsRegistry, RegisterMetrics};
+use fac_sim::obs::Json;
 use std::io::{Read, Write};
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Number of log2 buckets: bucket 0 holds values in `[0, 1]`, bucket
 /// `i >= 1` holds `(2^(i-1), 2^i]`, and bucket 64 holds everything above
@@ -218,16 +227,6 @@ impl Hist {
     }
 }
 
-impl RegisterMetrics for Hist {
-    fn register_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.counter(&format!("{prefix}.count"), self.count);
-        reg.counter(&format!("{prefix}.sum"), self.sum);
-        reg.gauge(&format!("{prefix}.p50"), self.p(0.50));
-        reg.gauge(&format!("{prefix}.p90"), self.p(0.90));
-        reg.gauge(&format!("{prefix}.p99"), self.p(0.99));
-    }
-}
-
 /// A Prometheus *text exposition format* builder.
 ///
 /// Series names must match `[a-zA-Z_:][a-zA-Z0-9_:]*`; label values are
@@ -275,7 +274,7 @@ impl Exposition {
     }
 
     /// Appends one gauge sample. Non-finite values are rendered as 0 —
-    /// the same policy as [`MetricsRegistry::gauge`].
+    /// the same policy as [`fac_sim::obs::MetricsRegistry::gauge`].
     pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
         self.header(name, help, "gauge");
         let v = if value.is_finite() { value } else { 0.0 };
@@ -304,6 +303,138 @@ impl Exposition {
     pub fn finish(self) -> String {
         self.out
     }
+}
+
+/// What kind of metric a [`Metric`] row is, with the function that reads
+/// it from a process's state `S`. The kind decides how each output
+/// renders the value and how [`merge_stats`] folds workers' values.
+pub enum Kind<S> {
+    /// A monotonic count: a `stats` integer and a counter. Summed.
+    Counter(fn(&S) -> &AtomicU64),
+    /// How much of something the process holds now: a `stats` integer
+    /// and a gauge. Summed.
+    Gauge(fn(&S) -> u64),
+    /// The size of a resource every worker shares (the store): a `stats`
+    /// integer and a gauge. One worker's view stands for all.
+    Shared(fn(&S) -> u64),
+    /// A yes/no state: a `stats` boolean and a 0/1 gauge. Set if any
+    /// worker sets it.
+    Flag(fn(&S) -> bool),
+    /// `stats`-only text. The first worker's stands for all.
+    Text(fn(&S) -> String),
+    /// Time since start: whole seconds in `stats`, fractional in the
+    /// gauge. A merged document reports the merging process's own.
+    Uptime(fn(&S) -> Instant),
+    /// A latency histogram: a summary object in `stats` and bucket
+    /// series in the exposition. Never merged: percentile summaries do
+    /// not add up.
+    Hist(fn(&S) -> Hist),
+}
+
+/// One row of a serving process's metrics table: every fact about one
+/// metric, declared once.
+pub struct Metric<S> {
+    /// The `stats` key. A table lists its rows in `stats` key order;
+    /// `outer.inner` puts `inner` inside the object `outer`, whose rows
+    /// must be adjacent.
+    pub key: &'static str,
+    /// The metric's kind and how to read it.
+    pub kind: Kind<S>,
+    /// Where the series sits in the exposition: series are emitted by
+    /// ascending rank, and the rows of one series in table order.
+    pub rank: u8,
+    /// The Prometheus series name; empty keeps the row out of the
+    /// exposition.
+    pub series: &'static str,
+    /// The label telling this row apart from its series' other rows.
+    pub label: Option<(&'static str, &'static str)>,
+    /// The `# HELP` text (the series' first row supplies it).
+    pub help: &'static str,
+}
+
+impl<S> Metric<S> {
+    /// A row from its fields in declaration order, so a table reads one
+    /// line of arguments per metric.
+    pub const fn new(
+        key: &'static str,
+        kind: Kind<S>,
+        rank: u8,
+        series: &'static str,
+        label: Option<(&'static str, &'static str)>,
+        help: &'static str,
+    ) -> Metric<S> {
+        Metric { key, kind, rank, series, label, help }
+    }
+}
+
+/// The `stats` document of `table`, read from `s`: one key per row, in
+/// table order.
+pub fn stats_json<S>(table: &[Metric<S>], s: &S) -> Json {
+    let mut doc = Json::obj();
+    for m in table {
+        let value = match &m.kind {
+            Kind::Counter(read) => Json::U64(read(s).load(Ordering::Relaxed)),
+            Kind::Gauge(read) | Kind::Shared(read) => Json::U64(read(s)),
+            Kind::Flag(read) => Json::Bool(read(s)),
+            Kind::Text(read) => Json::Str(read(s)),
+            Kind::Uptime(read) => Json::U64(read(s).elapsed().as_secs()),
+            Kind::Hist(read) => read(s).to_json(),
+        };
+        // The rows of one nested object are adjacent, so re-setting the
+        // object keeps it in place: it is always the last key so far.
+        match m.key.split_once('.') {
+            Some((outer, inner)) => {
+                let mut nested = doc.take(outer).unwrap_or_else(Json::obj);
+                nested.set(inner, value);
+                doc.set(outer, nested)
+            }
+            None => doc.set(m.key, value),
+        };
+    }
+    doc
+}
+
+/// The Prometheus exposition of `table`, read from `s`: every row with a
+/// series, series by rank.
+pub fn exposition<S>(table: &[Metric<S>], s: &S) -> String {
+    let mut rows: Vec<&Metric<S>> = table.iter().filter(|m| !m.series.is_empty()).collect();
+    rows.sort_by_key(|m| m.rank);
+    let mut exp = Exposition::new();
+    for m in rows {
+        let (name, help, labels) = (m.series, m.help, m.label.as_slice());
+        match &m.kind {
+            Kind::Counter(read) => exp.counter(name, help, labels, read(s).load(Ordering::Relaxed)),
+            Kind::Gauge(read) | Kind::Shared(read) => exp.gauge(name, help, labels, read(s) as f64),
+            Kind::Flag(read) => exp.gauge(name, help, labels, f64::from(u8::from(read(s)))),
+            Kind::Uptime(read) => exp.gauge(name, help, labels, read(s).elapsed().as_secs_f64()),
+            Kind::Hist(read) => exp.histogram(name, help, labels, &read(s)),
+            Kind::Text(_) => {}
+        }
+    }
+    exp.finish()
+}
+
+/// Folds `stats` documents rendered from `table` (one per worker) into
+/// one, in table order, each row by its [`Kind`]. `started` is the
+/// merging process's own start, which its uptime rows report.
+pub fn merge_stats<S>(table: &[Metric<S>], docs: &[Json], started: Instant) -> Json {
+    let mut doc = Json::obj();
+    for m in table {
+        let mut lanes = docs.iter().filter_map(|d| d.get(m.key));
+        let value = match m.kind {
+            Kind::Counter(_) | Kind::Gauge(_) => Json::U64(lanes.filter_map(Json::as_u64).sum()),
+            Kind::Shared(_) => Json::U64(lanes.find_map(Json::as_u64).unwrap_or(0)),
+            Kind::Flag(_) => Json::Bool(lanes.any(|v| matches!(v, Json::Bool(true)))),
+            Kind::Text(_) => match lanes.find_map(Json::as_str) {
+                Some(text) => Json::Str(text.to_string()),
+                None => continue,
+            },
+            Kind::Uptime(_) => Json::U64(started.elapsed().as_secs()),
+            Kind::Hist(_) => continue,
+        };
+        doc.set(m.key, value);
+    }
+    doc
 }
 
 /// Renders a complete minimal HTTP/1.0 response (`Connection: close`,
@@ -438,10 +569,140 @@ pub fn spawn_health_endpoint(
     })
 }
 
+/// The shape of a `stats` document for golden tests: one `key: type`
+/// line per key, nested objects as `outer.inner`.
+#[cfg(test)]
+pub(crate) fn json_shape(doc: &Json) -> String {
+    fn walk(doc: &Json, prefix: &str, out: &mut String) {
+        let Json::Obj(fields) = doc else { return };
+        for (k, v) in fields {
+            let ty = match v {
+                Json::Null => "null",
+                Json::Bool(_) => "bool",
+                Json::U64(_) => "u64",
+                Json::I64(_) => "i64",
+                Json::F64(_) => "f64",
+                Json::Str(_) => "str",
+                Json::Arr(_) => "arr",
+                Json::Obj(_) => "obj",
+            };
+            out.push_str(&format!("{prefix}{k}: {ty}\n"));
+            walk(v, &format!("{prefix}{k}."), out);
+        }
+    }
+    let mut out = String::new();
+    walk(doc, "", &mut out);
+    out
+}
+
+/// The shape of an exposition for golden tests: every `#` line, and
+/// every sample's series name and labels without its value. Histogram
+/// bucket bounds depend on timing, so `le` reads `*` and a histogram's
+/// bucket lines collapse into one.
+#[cfg(test)]
+pub(crate) fn exposition_shape(text: &str) -> String {
+    let mut out: Vec<String> = Vec::new();
+    for line in text.lines() {
+        let shape = if line.starts_with('#') {
+            line.to_string()
+        } else {
+            let series = line.rsplit_once(' ').expect("sample line").0;
+            match series.split_once("le=\"") {
+                Some((head, tail)) => format!("{head}le=\"*{}", &tail[tail.find('"').unwrap()..]),
+                None => series.to_string(),
+            }
+        };
+        if out.last() != Some(&shape) {
+            out.push(shape);
+        }
+    }
+    out.join("\n") + "\n"
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A toy process with one row of every kind.
+    struct Toy {
+        hits: AtomicU64,
+        level: u64,
+        down: bool,
+        started: Instant,
+        lat: Hist,
+    }
+
+    static TOY: &[Metric<Toy>] = &[
+        Metric::new("hits", Kind::Counter(|t| &t.hits), 1, "toy_hits_total", None, "Hits."),
+        Metric::new("held", Kind::Gauge(|t| t.level), 0, "toy_held", Some(("k", "v")), "Held."),
+        Metric::new("size", Kind::Shared(|t| t.level * 10), 2, "toy_size", None, "Size."),
+        Metric::new("down", Kind::Flag(|t| t.down), 3, "toy_down", None, "Down."),
+        Metric::new("version", Kind::Text(|_| "v1".to_string()), 0, "", None, ""),
+        Metric::new("uptime", Kind::Uptime(|t| t.started), 4, "toy_uptime", None, "Up."),
+        Metric::new("lat.all_us", Kind::Hist(|t| t.lat.clone()), 5, "toy_us", None, "Lat."),
+    ];
+
+    fn toy(hits: u64, level: u64, down: bool) -> Toy {
+        let mut lat = Hist::new();
+        lat.record(3);
+        Toy { hits: AtomicU64::new(hits), level, down, started: Instant::now(), lat }
+    }
+
+    /// One table renders both outputs: `stats` in table order with
+    /// dotted keys nested, the exposition by rank without `stats`-only
+    /// rows.
+    #[test]
+    fn table_renders_stats_and_exposition() {
+        let t = toy(7, 2, true);
+        let doc = stats_json(TOY, &t);
+        assert_eq!(
+            json_shape(&doc),
+            "hits: u64\nheld: u64\nsize: u64\ndown: bool\nversion: str\nuptime: u64\n\
+             lat: obj\nlat.all_us: obj\nlat.all_us.count: u64\nlat.all_us.sum: u64\n\
+             lat.all_us.min: u64\nlat.all_us.max: u64\nlat.all_us.p50: f64\n\
+             lat.all_us.p90: f64\nlat.all_us.p99: f64\n"
+        );
+        assert_eq!(doc.get("size").and_then(Json::as_u64), Some(20));
+        let text = exposition(TOY, &t);
+        let series: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| l.rsplit_once(' ').unwrap().0)
+            .collect();
+        assert_eq!(
+            series,
+            [
+                "toy_held{k=\"v\"}",
+                "toy_hits_total",
+                "toy_size",
+                "toy_down",
+                "toy_uptime",
+                "toy_us_bucket{le=\"1\"}",
+                "toy_us_bucket{le=\"2\"}",
+                "toy_us_bucket{le=\"4\"}",
+                "toy_us_bucket{le=\"+Inf\"}",
+                "toy_us_sum",
+                "toy_us_count",
+            ]
+        );
+        assert!(text.contains("toy_hits_total 7\n") && text.contains("toy_down 1\n"), "{text}");
+    }
+
+    /// Merging folds each row by its kind: counters and gauges sum, a
+    /// shared level is one document's, a flag is any, text is the first
+    /// present, uptime is the merger's own, histograms are left out.
+    #[test]
+    fn merge_folds_each_kind() {
+        let docs = [stats_json(TOY, &toy(7, 2, false)), stats_json(TOY, &toy(5, 3, true))];
+        let merged = merge_stats(TOY, &docs, Instant::now());
+        assert_eq!(
+            merged.to_string(),
+            "{\"hits\":12,\"held\":5,\"size\":20,\"down\":true,\"version\":\"v1\",\"uptime\":0}"
+        );
+        let none = merge_stats(TOY, &[], Instant::now());
+        assert_eq!(none.to_string(), "{\"hits\":0,\"held\":0,\"size\":0,\"down\":false,\"uptime\":0}");
+    }
 
     #[test]
     fn http_response_shape() {
@@ -713,21 +974,6 @@ mod tests {
         let empty = Hist::new().to_json();
         assert_eq!(empty.get("min"), Some(&Json::Null));
         assert_eq!(empty.get("max"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn register_metrics_exports_summary_lanes() {
-        let mut h = Hist::new();
-        for v in [5u64, 9, 1000] {
-            h.record(v);
-        }
-        let mut reg = MetricsRegistry::new();
-        h.register_metrics(&mut reg, "bench.cell_wall_ms");
-        assert_eq!(
-            reg.get("bench.cell_wall_ms.count"),
-            Some(fac_sim::obs::Metric::Counter(3))
-        );
-        assert!(reg.get("bench.cell_wall_ms.p99").is_some());
     }
 
     /// Golden test for the exposition grammar: `# TYPE` lines, valid

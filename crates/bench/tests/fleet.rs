@@ -11,6 +11,8 @@
 //! - The whole fleet killed -9 mid-sweep loses nothing it committed: a
 //!   restarted fleet on the same store serves every committed cell as a
 //!   hit and the new sweep's artifact is byte-identical.
+//! - The supervisor's `stats` sums every counter and load gauge of its
+//!   workers' own `stats`.
 //! - The one health endpoint answers the same way on a lone server and
 //!   on the supervisor, and an idle scraper delays nobody.
 //! - SIGTERM drains the fleet one worker at a time to a clean exit 0.
@@ -419,6 +421,62 @@ fn whole_fleet_kill_mid_sweep_loses_no_committed_cell() {
         stdout.contains(&format!("cache hits: {committed}/38")),
         "every cell committed before the kill ({committed}) must be a hit: {stdout}"
     );
+
+    send_signal(u64::from(sup.id()), "TERM");
+    assert_eq!(wait_exit(&mut sup, 60).code(), Some(0), "drain must exit 0");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// One `stats` RPC against a lone server, a worker or the supervisor.
+fn stats(endpoint: &Endpoint) -> Json {
+    let mut client = Client::connect(endpoint, Duration::from_secs(30)).unwrap();
+    match client.rpc(&Request::Stats).unwrap() {
+        Response::Stats(doc) => doc,
+        other => panic!("stats refused: {other:?}"),
+    }
+}
+
+/// On a quiescent fleet the supervisor's `stats` carries every field of
+/// its workers' own: each counter and load gauge is the sum over the
+/// workers, `max_queue` is the fleet's admission bound, and the shared
+/// store's size and degraded flag are there once.
+#[test]
+fn supervisor_stats_sum_every_worker_field() {
+    let base = temp_dir("sum");
+    let sock = base.join("sup.sock");
+    let mut sup = spawn_fleet(&base, &sock, 2, &["--test-cells"]);
+    let endpoint = Endpoint::Unix(sock.clone());
+    let mut client = Client::connect(&endpoint, Duration::from_secs(30)).unwrap();
+    for ms in 1..=6 {
+        for _ in 0..2 {
+            let cell = cell_request(&format!("__sleep:{ms}"), "fac", Scale::Smoke);
+            let resp = client.rpc(&Request::Cell(cell)).unwrap();
+            assert!(matches!(resp, Response::Cell { .. }), "cell refused: {resp:?}");
+        }
+    }
+
+    let fleet = stats(&endpoint);
+    let workers: Vec<Json> = (0..2)
+        .map(|i| stats(&Endpoint::Unix(base.join("run").join(format!("worker-{i}.sock")))))
+        .collect();
+    let Json::Obj(fields) = &workers[0] else { panic!("{}", workers[0]) };
+    let mut summed = 0;
+    for (key, value) in fields {
+        if !matches!(value, Json::U64(_)) || key == "uptime_secs" || key == "entries" {
+            continue;
+        }
+        let sum: u64 = workers.iter().map(|w| leaf(w, key)).sum();
+        assert_eq!(fleet.get(key).and_then(Json::as_u64), Some(sum), "{key}: {fleet}");
+        summed += 1;
+    }
+    assert!(summed >= 17, "only {summed} summed fields in {}", workers[0]);
+    assert_eq!(leaf(&fleet, "hits"), 6, "{fleet}");
+    assert_eq!(leaf(&fleet, "misses"), 6, "{fleet}");
+    assert_eq!(leaf(&fleet, "max_queue"), 2 * 32, "{fleet}");
+    assert_eq!(fleet.get("store_degraded"), Some(&Json::Bool(false)), "{fleet}");
+    assert_eq!(fleet.get("entries"), workers[0].get("entries"), "{fleet}");
+    assert_eq!(fleet.get("build_version"), workers[0].get("build_version"), "{fleet}");
+    assert!(fleet.get("fleet").is_some(), "{fleet}");
 
     send_signal(u64::from(sup.id()), "TERM");
     assert_eq!(wait_exit(&mut sup, 60).code(), Some(0), "drain must exit 0");
