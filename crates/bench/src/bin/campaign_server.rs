@@ -19,7 +19,7 @@
 //! slower than `--slow-ms` are flagged `"slow": true` in that log.
 
 use fac_bench::serve::server::{Server, ServeOptions, Shutdown};
-use fac_bench::serve::Endpoint;
+use fac_bench::serve::{install_signal_handlers, Endpoint};
 use fac_bench::Args;
 use fac_sim::{ConfigError, SimError};
 use std::io::Write as _;
@@ -75,33 +75,6 @@ fn positive(args: &Args, flag: &'static str, expected: &'static str) -> Option<u
         other => other,
     }
 }
-
-/// Routes SIGTERM and SIGINT to the server's graceful-drain flag. Raw
-/// `signal(2)` FFI — the flag store is a single atomic write, which is
-/// async-signal-safe, and the container has no libc crate to lean on.
-#[cfg(unix)]
-fn install_signal_handlers(shutdown: Shutdown) {
-    use std::sync::OnceLock;
-    static DRAIN: OnceLock<Shutdown> = OnceLock::new();
-    DRAIN.set(shutdown).ok();
-    extern "C" fn on_signal(_signum: i32) {
-        if let Some(drain) = DRAIN.get() {
-            drain.trigger();
-        }
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    unsafe {
-        signal(SIGINT, on_signal);
-        signal(SIGTERM, on_signal);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers(_shutdown: Shutdown) {}
 
 fn main() -> std::process::ExitCode {
     let args = or_usage(Args::parse(BOOL_FLAGS, VALUE_FLAGS));
@@ -166,14 +139,17 @@ fn main() -> std::process::ExitCode {
         opts.scrub_interval_secs = n;
     }
 
-    let server = match Server::bind(&endpoint, opts) {
+    // Signals are routed before the socket exists: a SIGTERM sent as
+    // soon as the endpoint answers drains instead of killing.
+    let shutdown = Shutdown::new();
+    install_signal_handlers(shutdown.clone());
+    let server = match Server::bind(&endpoint, opts, shutdown) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("error: {e}");
             return std::process::ExitCode::FAILURE;
         }
     };
-    install_signal_handlers(server.shutdown_handle());
     // Announce (and flush) the bound endpoint before serving, so a script
     // that started us knows when — and where — to connect. The metrics
     // address is announced the same way (`:0` resolved to a real port).

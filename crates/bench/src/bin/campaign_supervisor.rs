@@ -31,7 +31,7 @@ fn main() -> std::process::ExitCode {
 mod unix {
     use fac_bench::fleet::{Fleet, FleetOptions};
     use fac_bench::serve::server::Shutdown;
-    use fac_bench::serve::Endpoint;
+    use fac_bench::serve::{install_signal_handlers, Endpoint};
     use fac_bench::Args;
     use fac_sim::{ConfigError, SimError};
     use std::io::Write as _;
@@ -88,27 +88,6 @@ mod unix {
             }
             .into())),
             other => other,
-        }
-    }
-
-    /// Routes SIGTERM and SIGINT to the fleet's rolling-drain flag.
-    fn install_signal_handlers(shutdown: Shutdown) {
-        use std::sync::OnceLock;
-        static DRAIN: OnceLock<Shutdown> = OnceLock::new();
-        DRAIN.set(shutdown).ok();
-        extern "C" fn on_signal(_signum: i32) {
-            if let Some(drain) = DRAIN.get() {
-                drain.trigger();
-            }
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
         }
     }
 
@@ -194,14 +173,17 @@ mod unix {
         opts.metrics_addr = args.value("--metrics").map(str::to_string);
         opts.test_cells = args.flag("--test-cells");
 
-        let fleet = match Fleet::start(&endpoint, opts) {
+        // Signals are routed before any worker is spawned: a SIGTERM
+        // during boot drains the fleet instead of orphaning its workers.
+        let shutdown = Shutdown::new();
+        install_signal_handlers(shutdown.clone());
+        let fleet = match Fleet::start(&endpoint, opts, shutdown) {
             Ok(fleet) => fleet,
             Err(e) => {
                 eprintln!("error: {e}");
                 return std::process::ExitCode::FAILURE;
             }
         };
-        install_signal_handlers(fleet.shutdown_handle());
         // Announce (and flush) after every worker answered its first
         // ping, so a script that started us can connect immediately.
         println!("campaign supervisor listening on {}", fleet.endpoint());

@@ -25,12 +25,11 @@
 //! protocol endpoint-to-endpoint).
 
 use crate::io::{Fs, RealFs};
-use crate::serve::server::lock;
-use crate::serve::{Conn, Endpoint};
+use crate::serve::server::{lock, Shutdown};
+use crate::serve::{serve_connections, Conn, Endpoint, Listener};
 use fac_core::rng::{splitmix64, SplitMix64};
 use fac_sim::SimError;
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -486,10 +485,11 @@ const PUMP_POLL: Duration = Duration::from_millis(50);
 
 struct ProxyShared {
     plan: ProxyPlan,
-    stop: AtomicBool,
-    /// Accept-side state: the storm counter and the RNG that decides
-    /// each connection's fate and seeds its pump RNGs.
-    accept: Mutex<(SplitMix64, u32)>,
+    stop: Shutdown,
+    /// Accept-side state: the RNG that decides each connection's fate and
+    /// seeds its pump RNGs, the storm counter, and the connections
+    /// accepted so far.
+    accept: Mutex<(SplitMix64, u32, u64)>,
     faults: AtomicU64,
 }
 
@@ -516,7 +516,6 @@ pub struct ChaosProxy {
     endpoint: Endpoint,
     shared: Arc<ProxyShared>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    pumps: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
 impl ChaosProxy {
@@ -526,40 +525,24 @@ impl ChaosProxy {
     ///
     /// [`SimError::Io`] when the listening socket cannot be bound.
     pub fn start(upstream: &Endpoint, plan: ProxyPlan) -> Result<ChaosProxy, SimError> {
-        let listener =
-            TcpListener::bind("127.0.0.1:0").map_err(|e| SimError::io("chaos-proxy", e))?;
-        listener.set_nonblocking(true).map_err(|e| SimError::io("chaos-proxy", e))?;
-        let endpoint = Endpoint::Tcp(
-            listener.local_addr().map_err(|e| SimError::io("chaos-proxy", e))?.to_string(),
-        );
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()))?;
+        let endpoint = listener.endpoint();
         let accept_rng = SplitMix64::new(plan.seed ^ 0xfac_9707_ace0_90cb);
         let shared = Arc::new(ProxyShared {
             plan,
-            stop: AtomicBool::new(false),
-            accept: Mutex::new((accept_rng, 0)),
+            stop: Shutdown::new(),
+            accept: Mutex::new((accept_rng, 0, 0)),
             faults: AtomicU64::new(0),
         });
-        let pumps: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let upstream = upstream.clone();
-        let accept_shared = Arc::clone(&shared);
-        let accept_pumps = Arc::clone(&pumps);
+        let (upstream, conns) = (upstream.clone(), Arc::clone(&shared));
         let accept_thread = std::thread::spawn(move || {
-            let mut conn_index: u64 = 0;
-            while !accept_shared.stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((client, _)) => {
-                        conn_index += 1;
-                        spawn_conn(client, &upstream, &accept_shared, &accept_pumps, conn_index);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
+            let stop = conns.stop.clone();
+            serve_connections(&listener, &stop, move |client| {
+                proxy_conn(client, &upstream, &conns);
+            })
+            .ok();
         });
-        Ok(ChaosProxy { endpoint, shared, accept_thread: Some(accept_thread), pumps })
+        Ok(ChaosProxy { endpoint, shared, accept_thread: Some(accept_thread) })
     }
 
     /// The endpoint clients should dial.
@@ -580,12 +563,8 @@ impl ChaosProxy {
     }
 
     fn halt(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        self.shared.stop.trigger();
         if let Some(t) = self.accept_thread.take() {
-            t.join().ok();
-        }
-        let pumps = std::mem::take(&mut *lock(&self.pumps));
-        for t in pumps {
             t.join().ok();
         }
     }
@@ -597,18 +576,15 @@ impl Drop for ChaosProxy {
     }
 }
 
-/// Decides an accepted connection's fate and, if it lives, spawns its two
-/// pump threads.
-fn spawn_conn(
-    client: TcpStream,
-    upstream: &Endpoint,
-    shared: &Arc<ProxyShared>,
-    pumps: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    conn_index: u64,
-) {
+/// Decides an accepted connection's fate and, if it lives, pumps it: the
+/// client→server direction on this thread, server→client on a second
+/// one that is joined before returning.
+fn proxy_conn(client: Conn, upstream: &Endpoint, shared: &Arc<ProxyShared>) {
     let (c2s_seed, s2c_seed) = {
         let mut accept = lock(&shared.accept);
-        let (ref mut rng, ref mut storm_left) = *accept;
+        let (ref mut rng, ref mut storm_left, ref mut conn_index) = *accept;
+        *conn_index += 1;
+        let conn_index = *conn_index;
         if *storm_left > 0 {
             *storm_left -= 1;
             shared.fault();
@@ -636,36 +612,34 @@ fn spawn_conn(
     let (Ok(client_r), Ok(server_r)) = (client.try_clone(), server.try_clone()) else {
         return;
     };
-    let kill_a = KillSwitch::new(&client, &server);
-    let kill_b = kill_a.clone();
-    let sh_a = Arc::clone(shared);
-    let sh_b = Arc::clone(shared);
-    let mut held = lock(pumps);
-    held.push(std::thread::spawn(move || {
-        pump_client_to_server(client_r, server, &sh_a, c2s_seed, &kill_a);
-    }));
-    held.push(std::thread::spawn(move || {
-        pump_server_to_client(server_r, client, &sh_b, s2c_seed, &kill_b);
-    }));
+    let kill = KillSwitch::new(&client, &server);
+    let back = {
+        let (shared, kill) = (Arc::clone(shared), kill.clone());
+        std::thread::spawn(move || {
+            pump_server_to_client(server_r, client, &shared, s2c_seed, &kill);
+        })
+    };
+    pump_client_to_server(client_r, server, shared, c2s_seed, &kill);
+    back.join().ok();
 }
 
 /// Kills both halves of a proxied connection, from either pump thread.
 #[derive(Clone)]
 struct KillSwitch {
-    client: Arc<TcpStream>,
+    client: Arc<Conn>,
     server: Arc<Conn>,
 }
 
 impl KillSwitch {
-    fn new(client: &TcpStream, server: &Conn) -> KillSwitch {
+    fn new(client: &Conn, server: &Conn) -> KillSwitch {
         KillSwitch {
-            client: Arc::new(client.try_clone().expect("tcp clone")),
+            client: Arc::new(client.try_clone().expect("conn clone")),
             server: Arc::new(server.try_clone().expect("conn clone")),
         }
     }
 
     fn kill(&self) {
-        self.client.shutdown(Shutdown::Both).ok();
+        self.client.shutdown().ok();
         self.server.shutdown().ok();
     }
 }
@@ -674,7 +648,7 @@ impl KillSwitch {
 /// on whole protocol frames (the campaign protocol never stalls on a
 /// partial line — every writer sends complete LF-terminated requests).
 fn pump_client_to_server(
-    mut from: TcpStream,
+    mut from: Conn,
     mut to: Conn,
     shared: &ProxyShared,
     seed: u64,
@@ -683,7 +657,7 @@ fn pump_client_to_server(
     let mut rng = SplitMix64::new(seed);
     let mut pending: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
-    while !shared.stop.load(Ordering::Relaxed) {
+    while !shared.stop.is_set() {
         match from.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
@@ -733,14 +707,14 @@ fn pump_client_to_server(
 /// exactly the torn response frame the client's `read_line` must absorb.
 fn pump_server_to_client(
     mut from: Conn,
-    mut to: TcpStream,
+    mut to: Conn,
     shared: &ProxyShared,
     seed: u64,
     kill: &KillSwitch,
 ) {
     let mut rng = SplitMix64::new(seed);
     let mut chunk = [0u8; 4096];
-    while !shared.stop.load(Ordering::Relaxed) {
+    while !shared.stop.is_set() {
         match from.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
@@ -781,6 +755,7 @@ fn pump_server_to_client(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::net::{TcpListener, TcpStream};
 
     #[test]
     fn chaos_plan_parses_and_rejects() {

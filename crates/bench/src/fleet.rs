@@ -49,7 +49,7 @@ use crate::serve::proto::{
     Response,
 };
 use crate::serve::server::{self, lock, Shutdown};
-use crate::serve::{cell_identity, Conn, Endpoint, Listener};
+use crate::serve::{cell_identity, serve_connections, Conn, Endpoint, Listener};
 use crate::telemetry::{self, spawn_health_endpoint, Kind, Metric};
 use fac_core::rng::splitmix64;
 use fac_core::snap::{fnv1a, FNV_OFFSET};
@@ -294,13 +294,18 @@ impl Fleet {
     /// Spawns the workers and binds the supervisor endpoint. Returns once
     /// every worker answered a ping (or the boot deadline passed — a
     /// worker that cannot boot at all is a startup error, not a runtime
-    /// restart case).
+    /// restart case). Raising `shutdown` — from any thread or a signal
+    /// handler, even while the fleet boots — starts the rolling drain.
     ///
     /// # Errors
     ///
     /// [`SimError::Io`] when directories, sockets, or worker processes
     /// cannot be created; the typed worker error when no worker comes up.
-    pub fn start(endpoint: &Endpoint, opts: FleetOptions) -> Result<Fleet, SimError> {
+    pub fn start(
+        endpoint: &Endpoint,
+        opts: FleetOptions,
+        shutdown: Shutdown,
+    ) -> Result<Fleet, SimError> {
         if opts.workers == 0 {
             return Err(SimError::Io {
                 path: "fleet".to_string(),
@@ -362,7 +367,7 @@ impl Fleet {
             workers: Mutex::new(workers),
             counters: FleetCounters::default(),
             started: Instant::now(),
-            shutdown: Shutdown::new(),
+            shutdown,
         });
 
         if let Err(e) = wait_for_boot(&shared) {
@@ -387,12 +392,6 @@ impl Fleet {
         self.metrics.as_ref().and_then(|l| l.local_addr().ok())
     }
 
-    /// A handle that triggers the rolling drain from any thread or
-    /// signal handler.
-    pub fn shutdown_handle(&self) -> Shutdown {
-        self.shared.shutdown.clone()
-    }
-
     /// The pids of currently-running workers — the chaos
     /// [`crate::chaos::WorkerReaper`]'s victim feed in soak tests.
     pub fn worker_pids(&self) -> Vec<i32> {
@@ -411,37 +410,22 @@ impl Fleet {
     ///
     /// [`SimError::Io`] when the accept loop breaks unrecoverably.
     pub fn run(mut self) -> Result<(), SimError> {
-        let label = self.endpoint().to_string();
-        self.listener.set_nonblocking(true).map_err(|e| SimError::io(&label, e))?;
         let metrics_thread = self.metrics.take().map(|listener| {
             let (ready, render) = (Arc::clone(&self.shared), Arc::clone(&self.shared));
             spawn_health_endpoint(
-                listener,
+                Listener::Tcp(listener),
                 self.shared.shutdown.clone(),
                 move || if ready.quorum() { Ok(()) } else { Err("no fleet quorum") },
                 move || telemetry::exposition(METRICS, render.as_ref()),
             )
         });
-        let mut clients: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shared.shutdown.is_set() {
-            match self.listener.accept() {
-                Ok(conn) => {
-                    let shared = Arc::clone(&self.shared);
-                    clients.push(std::thread::spawn(move || handle_client(&shared, conn)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(SimError::io(&label, e)),
-            }
-            clients.retain(|c| !c.is_finished());
-        }
         // Stop accepting, let in-flight clients finish, then drain the
         // workers one at a time.
-        for c in clients {
-            c.join().ok();
-        }
+        let shared = Arc::clone(&self.shared);
+        serve_connections(&self.listener, &self.shared.shutdown, move |conn| {
+            handle_client(&shared, conn);
+        })
+        .map_err(|e| SimError::io(&self.endpoint().to_string(), e))?;
         if let Some(t) = self.supervision.take() {
             t.join().ok();
         }
@@ -561,46 +545,10 @@ fn route_order(key: u64, total: usize) -> Vec<usize> {
     scored.into_iter().map(|(_, i)| i).collect()
 }
 
-/// Forwards one raw request line to a worker and returns the raw
-/// response line (transparent proxying: the client sees exactly the
-/// bytes the worker produced).
-fn forward_line(endpoint: &Endpoint, line: &str, deadline: Duration) -> Result<String, SimError> {
-    let label = endpoint.to_string();
-    let mut conn = Conn::dial(endpoint)?;
-    conn.set_read_timeout(Some(POLL)).map_err(|e| SimError::io(&label, e))?;
-    conn.set_write_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| SimError::io(&label, e))?;
-    write_line(&mut conn, line).map_err(|e| SimError::io(&label, e))?;
-    let start = Instant::now();
-    let mut pending = Vec::new();
-    loop {
-        match read_line(&mut conn, &mut pending) {
-            LineEvent::Line(resp) => return Ok(resp),
-            LineEvent::Timeout => {
-                if start.elapsed() >= deadline {
-                    return Err(SimError::Timeout {
-                        job: format!("request to {label}"),
-                        secs: deadline.as_secs(),
-                    });
-                }
-            }
-            LineEvent::Eof => {
-                return Err(SimError::Io {
-                    path: label,
-                    message: "worker closed the connection".to_string(),
-                })
-            }
-            LineEvent::Poison(e) => {
-                return Err(SimError::Io { path: label, message: e.to_string() })
-            }
-            LineEvent::Io(e) => return Err(SimError::io(&label, e)),
-        }
-    }
-}
-
 /// Routes a cell line through the fleet: rendezvous order, skipping
 /// unroutable workers, failing over on transport faults. Returns the raw
-/// response line to relay.
+/// response line to relay (transparent proxying: the client sees exactly
+/// the bytes the worker produced).
 fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
     let Request::Cell(cell) = req else { unreachable!("route_cell takes cells") };
     let key = route_key(&cell.workload, cell.sw, cell.scale, &cell.config);
@@ -624,7 +572,7 @@ fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
             // for; the store makes it a hit if the first try committed.
             shared.bump(&shared.counters.failovers);
         }
-        match forward_line(&endpoint, line, deadline) {
+        match Client::connect(&endpoint, deadline).and_then(|mut c| c.rpc_line(line)) {
             Ok(resp) => {
                 let mut workers = lock(&shared.workers);
                 workers[index].forwarded += 1;

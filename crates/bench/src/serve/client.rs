@@ -64,27 +64,48 @@ impl Client {
     /// within the deadline. A protocol-level refusal (`ok: false`) is a
     /// successful RPC — it returns [`Response::Error`].
     pub fn rpc(&mut self, req: &Request) -> Result<Response, SimError> {
-        write_line(&mut self.conn, &render_request(req))
-            .map_err(|e| SimError::io(&self.endpoint, e))?;
-        self.recv()
+        let line = self.rpc_line(&render_request(req))?;
+        self.parse(&line)
     }
 
-    /// Blocks for the next response line without sending anything. Used
-    /// by the resilient layer to skim past a stale response (a duplicate
-    /// in flight) and reach the one that answers the current request.
+    /// Sends one raw request line and blocks for the raw response line,
+    /// unparsed — the fleet supervisor relays a worker's answer byte for
+    /// byte.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::rpc`], minus the parse.
+    pub fn rpc_line(&mut self, line: &str) -> Result<String, SimError> {
+        write_line(&mut self.conn, line).map_err(|e| SimError::io(&self.endpoint, e))?;
+        self.recv_line()
+    }
+
+    /// Blocks for the next response without sending anything. Used by
+    /// the resilient layer to skim past a stale response (a duplicate in
+    /// flight) and reach the one that answers the current request.
     ///
     /// # Errors
     ///
     /// As [`Client::rpc`], minus the send path.
     pub fn recv(&mut self) -> Result<Response, SimError> {
+        let line = self.recv_line()?;
+        self.parse(&line)
+    }
+
+    fn parse(&self, line: &str) -> Result<Response, SimError> {
+        parse_response(line).map_err(|e| SimError::Io {
+            path: self.endpoint.clone(),
+            message: format!("unparseable response: {e}"),
+        })
+    }
+
+    /// The next response line, within the deadline.
+    fn recv_line(&mut self) -> Result<String, SimError> {
         let io_err = |message: String| SimError::Io { path: self.endpoint.clone(), message };
         let start = Instant::now();
         loop {
             match read_line(&mut self.conn, &mut self.pending) {
-                LineEvent::Line(line) => {
-                    return parse_response(&line)
-                        .map_err(|e| io_err(format!("unparseable response: {e}")));
-                }
+                LineEvent::Line(line) => return Ok(line),
                 LineEvent::Timeout => {
                     if start.elapsed() >= self.deadline {
                         return Err(SimError::Timeout {

@@ -43,6 +43,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use server::Shutdown;
 use std::time::Duration;
 
 /// Where the server listens (or the client connects): `tcp:<host:port>`
@@ -225,7 +226,8 @@ impl Write for Conn {
     }
 }
 
-/// The bound listening socket behind [`server::Server`].
+/// A bound listening socket: the campaign server's and supervisor's
+/// endpoint, the health endpoint's TCP port, or the chaos proxy's.
 #[derive(Debug)]
 pub(crate) enum Listener {
     /// A TCP listener.
@@ -269,19 +271,57 @@ impl Listener {
         }
     }
 
-    pub(crate) fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            #[cfg(unix)]
-            Listener::Unix(l, _) => l.set_nonblocking(nb),
+    /// Accepts the next connection, waiting at most [`ACCEPT_POLL_MS`]
+    /// for one to arrive: `Ok(None)` when none did. The wait is a
+    /// `poll(2)` on the listener, so an arriving connection ends it at
+    /// once; a signal ends it with `Interrupted`.
+    #[cfg(unix)]
+    fn accept_within_poll(&self) -> std::io::Result<Option<Conn>> {
+        use std::os::unix::io::AsRawFd;
+        #[repr(C)]
+        struct PollFd {
+            fd: i32,
+            events: i16,
+            revents: i16,
+        }
+        #[cfg(any(target_os = "linux", target_os = "android"))]
+        type Nfds = std::os::raw::c_ulong;
+        #[cfg(not(any(target_os = "linux", target_os = "android")))]
+        type Nfds = std::os::raw::c_uint;
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+        }
+        const POLLIN: i16 = 1;
+        let fd = match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l, _) => l.as_raw_fd(),
+        };
+        let mut want = PollFd { fd, events: POLLIN, revents: 0 };
+        // SAFETY: one valid pollfd for a descriptor `self` keeps open;
+        // poll(2) writes only its `revents`.
+        match unsafe { poll(&mut want, 1, ACCEPT_POLL_MS) } {
+            0 => Ok(None),
+            n if n < 0 => Err(std::io::Error::last_os_error()),
+            _ => match self {
+                Listener::Tcp(l) => l.accept().map(|(s, _)| Some(Conn::Tcp(s))),
+                Listener::Unix(l, _) => l.accept().map(|(s, _)| Some(Conn::Unix(s))),
+            },
         }
     }
 
-    pub(crate) fn accept(&self) -> std::io::Result<Conn> {
-        match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-            #[cfg(unix)]
-            Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
+    /// Without `poll(2)`, a non-blocking accept that sleeps out
+    /// [`ACCEPT_POLL_MS`] when nothing is waiting.
+    #[cfg(not(unix))]
+    fn accept_within_poll(&self) -> std::io::Result<Option<Conn>> {
+        let Listener::Tcp(l) = self;
+        l.set_nonblocking(true)?;
+        match l.accept() {
+            Ok((s, _)) => s.set_nonblocking(false).map(|()| Some(Conn::Tcp(s))),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(ACCEPT_POLL_MS as u64));
+                Ok(None)
+            }
+            Err(e) => Err(e),
         }
     }
 }
@@ -294,6 +334,78 @@ impl Drop for Listener {
         }
     }
 }
+
+/// How long an idle accept loop waits before it looks at the shutdown
+/// flag again: the bound on an idle listener's drain latency. A
+/// connection ends the wait the moment it arrives.
+const ACCEPT_POLL_MS: i32 = 50;
+
+/// The accept loop of every serving listener — campaign server, fleet
+/// supervisor, health endpoint and chaos proxy. Accepts connections
+/// until `shutdown` is set, runs `handle` for each on a thread of its
+/// own, drops the handles of finished threads as it goes, and on drain
+/// joins the rest.
+///
+/// # Errors
+///
+/// The listener's I/O error when accepting fails for any reason but an
+/// interrupted wait or a connection aborted before it was accepted;
+/// connection threads still running are left detached.
+pub(crate) fn serve_connections(
+    listener: &Listener,
+    shutdown: &Shutdown,
+    handle: impl Fn(Conn) + Send + Sync + 'static,
+) -> std::io::Result<()> {
+    use std::io::ErrorKind::{ConnectionAborted, Interrupted};
+    let handle = std::sync::Arc::new(handle);
+    let mut threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    while !shutdown.is_set() {
+        let conn = match listener.accept_within_poll() {
+            Ok(Some(conn)) => conn,
+            Ok(None) => continue,
+            Err(e) if matches!(e.kind(), Interrupted | ConnectionAborted) => continue,
+            Err(e) => return Err(e),
+        };
+        threads.retain(|t| !t.is_finished());
+        let handle = std::sync::Arc::clone(&handle);
+        threads.push(std::thread::spawn(move || handle(conn)));
+    }
+    for t in threads {
+        t.join().ok();
+    }
+    Ok(())
+}
+
+/// Routes SIGTERM and SIGINT to `shutdown`, the drain flag of a campaign
+/// server or fleet supervisor. Raw `signal(2)` FFI: the handler's one
+/// atomic store is async-signal-safe, and there is no libc crate to lean
+/// on. The accept loop sees a drain raised this way within 50 ms.
+#[cfg(unix)]
+pub fn install_signal_handlers(shutdown: Shutdown) {
+    use std::sync::OnceLock;
+    static DRAIN: OnceLock<Shutdown> = OnceLock::new();
+    DRAIN.set(shutdown).ok();
+    extern "C" fn on_signal(_signum: i32) {
+        if let Some(drain) = DRAIN.get() {
+            drain.trigger();
+        }
+    }
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+    extern "C" {
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    }
+    // SAFETY: `on_signal` only loads a `OnceLock` set before the handler
+    // is installed and stores one atomic.
+    unsafe {
+        signal(SIGINT, on_signal);
+        signal(SIGTERM, on_signal);
+    }
+}
+
+/// Signals are a Unix notion; elsewhere only [`Shutdown::trigger`] drains.
+#[cfg(not(unix))]
+pub fn install_signal_handlers(_shutdown: Shutdown) {}
 
 /// The named machine configurations a cell request may ask for. Both the
 /// server and the client resolve names through this one catalog, so the

@@ -46,8 +46,8 @@ use super::proto::{
 };
 use super::store::{Lookup, Scrub, Store};
 use super::{
-    catalog_fingerprint, cell_identity, config_by_name, scale_name, sw_support, Conn, Endpoint,
-    Listener, CONFIG_NAMES,
+    catalog_fingerprint, cell_identity, config_by_name, scale_name, serve_connections, sw_support,
+    Conn, Endpoint, Listener, CONFIG_NAMES,
 };
 use crate::par::{JobSet, RunOptions};
 use crate::serve::proto::CellRequest;
@@ -64,8 +64,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// How often blocked reads and the accept loop re-check the shutdown
-/// flag. Bounds drain latency, not throughput.
+/// How often a blocked connection read re-checks the shutdown flag.
+/// Bounds drain latency, not throughput.
 const POLL: Duration = Duration::from_millis(50);
 /// A stalled client gets this long to absorb a response before the
 /// connection is dropped.
@@ -462,10 +462,11 @@ pub(crate) struct Shared {
     /// Simulations admitted (queued or running) right now.
     admitted: AtomicUsize,
     counters: Counters,
-    /// Built programs, keyed by `workload:sw:scale` — a sweep asks for
-    /// each program many times (two configs × repeat runs) and builds are
-    /// deterministic, so build once and share.
-    programs: Mutex<HashMap<String, Arc<Program>>>,
+    /// Built programs and their fingerprints, keyed by
+    /// `workload:sw:scale` — a sweep asks for each program many times
+    /// (two configs × repeat runs) and builds are deterministic, so build
+    /// and fingerprint once and share.
+    programs: Mutex<HashMap<String, (Arc<Program>, u64)>>,
     telemetry: Telemetry,
 }
 
@@ -474,11 +475,21 @@ impl Shared {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn program(&self, workload: &fac_workloads::Workload, sw: bool, scale: Scale) -> Arc<Program> {
+    /// The built program for a cell and its fingerprint.
+    fn program(
+        &self,
+        workload: &fac_workloads::Workload,
+        sw: bool,
+        scale: Scale,
+    ) -> (Arc<Program>, u64) {
         let key = format!("{}:{}:{}", workload.name, u8::from(sw), scale_name(scale));
         lock(&self.programs)
             .entry(key)
-            .or_insert_with(|| Arc::new(workload.build(&sw_support(sw), scale)))
+            .or_insert_with(|| {
+                let program = workload.build(&sw_support(sw), scale);
+                let fp = program_fingerprint(&program);
+                (Arc::new(program), fp)
+            })
             .clone()
     }
 
@@ -565,12 +576,18 @@ pub struct Server {
 
 impl Server {
     /// Binds the endpoint and opens (creating if needed) the store.
+    /// Raising `shutdown` — from any thread or a signal handler, before
+    /// or during [`Server::run`] — drains the server.
     ///
     /// # Errors
     ///
     /// [`SimError::Io`] when the socket cannot be bound or the store
     /// directory cannot be created.
-    pub fn bind(endpoint: &Endpoint, opts: ServeOptions) -> Result<Server, SimError> {
+    pub fn bind(
+        endpoint: &Endpoint,
+        opts: ServeOptions,
+        shutdown: Shutdown,
+    ) -> Result<Server, SimError> {
         let listener = Listener::bind(endpoint)?;
         let store = match &opts.chaos_store {
             Some(plan) => Store::open_with(
@@ -599,7 +616,7 @@ impl Server {
                 programs: Mutex::new(HashMap::new()),
                 telemetry,
             }),
-            shutdown: Shutdown::new(),
+            shutdown,
         })
     }
 
@@ -613,12 +630,6 @@ impl Server {
         self.metrics.as_ref().and_then(|l| l.local_addr().ok())
     }
 
-    /// A handle that triggers a graceful drain from any thread or signal
-    /// handler.
-    pub fn shutdown_handle(&self) -> Shutdown {
-        self.shutdown.clone()
-    }
-
     /// Serves until the shutdown flag is raised, then drains: stops
     /// accepting, lets every connection finish its in-flight request,
     /// joins the worker threads, and fsyncs the store directory.
@@ -629,16 +640,12 @@ impl Server {
     /// store sync fails (an individual connection's I/O error only drops
     /// that connection).
     pub fn run(mut self) -> Result<(), SimError> {
-        let label = self.endpoint().to_string();
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| SimError::io(&label, e))?;
         // Readiness: a full admission queue sheds and a degraded store
         // cannot commit, so either one stops routing here.
         let metrics_thread = self.metrics.take().map(|listener| {
             let (ready, render) = (Arc::clone(&self.shared), Arc::clone(&self.shared));
             crate::telemetry::spawn_health_endpoint(
-                listener,
+                Listener::Tcp(listener),
                 self.shutdown.clone(),
                 move || {
                     if ready.admitted.load(Ordering::SeqCst) >= ready.opts.max_queue {
@@ -660,39 +667,18 @@ impl Server {
             let shutdown = self.shutdown.clone();
             std::thread::spawn(move || run_scrubber(&shared, &shutdown))
         });
-        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shutdown.is_set() {
-            match self.listener.accept() {
-                Ok(conn) => {
-                    let shared = Arc::clone(&self.shared);
-                    let shutdown = self.shutdown.clone();
-                    workers.push(std::thread::spawn(move || {
-                        // Panic containment at the connection boundary:
-                        // whatever happens on one socket, the server and
-                        // every other connection keep running.
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            handle_conn(&shared, &shutdown, conn);
-                        }));
-                        if caught.is_err() {
-                            shared.bump(&shared.counters.conn_panics);
-                        }
-                    }));
-                    // Reap finished threads so a long campaign does not
-                    // accumulate one handle per past connection.
-                    workers.retain(|w| !w.is_finished());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(SimError::io(&label, e)),
-            }
-        }
         // Drain: connections observe the flag after their current request
         // and return; every in-flight response is finished, not cut.
-        for w in workers {
-            w.join().ok();
-        }
+        let (shared, shutdown) = (Arc::clone(&self.shared), self.shutdown.clone());
+        serve_connections(&self.listener, &self.shutdown, move |conn| {
+            // Panic containment at the connection boundary: whatever
+            // happens on one socket, the server and every other
+            // connection keep running.
+            if catch_unwind(AssertUnwindSafe(|| handle_conn(&shared, &shutdown, conn))).is_err() {
+                shared.bump(&shared.counters.conn_panics);
+            }
+        })
+        .map_err(|e| SimError::io(&self.endpoint().to_string(), e))?;
         if let Some(m) = metrics_thread {
             m.join().ok();
         }
@@ -914,8 +900,7 @@ fn resolve(shared: &Arc<Shared>, cell: &CellRequest) -> Result<CellPlan, Respons
         let Some(workload) = fac_workloads::find(&cell.workload) else {
             return Err(bad_request(format!("unknown workload '{}'", cell.workload)));
         };
-        let program = shared.program(&workload, cell.sw, cell.scale);
-        let fp = program_fingerprint(&program);
+        let (program, fp) = shared.program(&workload, cell.sw, cell.scale);
         (Some(program), fp)
     };
     let config_fp = config_fingerprint(&config);
@@ -1437,6 +1422,62 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A connection is served the moment it arrives: twenty pings, each
+    /// on a freshly dialed connection, finish well inside what twenty
+    /// accept-poll sleeps would cost.
+    #[test]
+    fn fresh_connections_are_served_without_waiting() {
+        let dir = temp_dir("fresh");
+        let (endpoint, shutdown, handle) = boot(test_opts(&dir));
+        let start = Instant::now();
+        for _ in 0..20 {
+            let mut conn = Conn::dial(&endpoint).unwrap();
+            conn.set_read_timeout(Some(POLL)).unwrap();
+            assert!(matches!(rpc(&mut conn, &Request::Ping), Response::Pong));
+        }
+        let took = start.elapsed();
+        shutdown.trigger();
+        handle.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(took < Duration::from_millis(500), "20 fresh-connection pings took {took:?}");
+    }
+
+    /// With no traffic at all, a drain still ends every accept wait: the
+    /// server, a health endpoint and a chaos proxy each return within a
+    /// second of the flag going up.
+    #[test]
+    fn idle_listeners_drain_promptly() {
+        fn finishes_within_a_second<T>(thread: &std::thread::JoinHandle<T>) -> bool {
+            let start = Instant::now();
+            while !thread.is_finished() && start.elapsed() < Duration::from_secs(1) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            thread.is_finished()
+        }
+        let dir = temp_dir("quiet");
+        let mut opts = test_opts(&dir);
+        opts.metrics_addr = Some("127.0.0.1:0".to_string());
+        let (endpoint, shutdown, server) = boot(opts);
+        let health_flag = Shutdown::new();
+        let health = telemetry::spawn_health_endpoint(
+            Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_string())).unwrap(),
+            health_flag.clone(),
+            || Ok(()),
+            String::new,
+        );
+        let proxy = crate::chaos::ChaosProxy::start(&endpoint, Default::default()).unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+
+        shutdown.trigger();
+        health_flag.trigger();
+        let proxy = std::thread::spawn(move || proxy.stop());
+        assert!(finishes_within_a_second(&server), "idle server still running");
+        assert!(finishes_within_a_second(&health), "idle health endpoint still running");
+        assert!(finishes_within_a_second(&proxy), "idle chaos proxy still running");
+        server.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn drain_finishes_inflight_requests_then_exits_cleanly() {
         let dir = temp_dir("drain");
@@ -1676,10 +1717,12 @@ mod tests {
         let mut opts = test_opts(&dir);
         opts.metrics_addr = Some("127.0.0.1:0".to_string());
         opts.access_log = Some(dir.join("access.jsonl"));
-        let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), opts).unwrap();
+        let shutdown = Shutdown::new();
+        let server =
+            Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), opts, shutdown.clone())
+                .unwrap();
         let endpoint = server.endpoint();
         let metrics = server.metrics_addr().expect("metrics listener bound");
-        let shutdown = server.shutdown_handle();
         let handle = std::thread::spawn(move || server.run());
 
         let mut conn = Conn::dial(&endpoint).unwrap();
@@ -1789,10 +1832,12 @@ mod tests {
             enospc_burst: 4,
             ..crate::chaos::ChaosPlan::default()
         });
-        let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), opts).unwrap();
+        let shutdown = Shutdown::new();
+        let server =
+            Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), opts, shutdown.clone())
+                .unwrap();
         let endpoint = server.endpoint();
         let metrics = server.metrics_addr().expect("metrics listener bound");
-        let shutdown = server.shutdown_handle();
         let handle = std::thread::spawn(move || server.run());
         let mut conn = Conn::dial(&endpoint).unwrap();
         conn.set_read_timeout(Some(POLL)).unwrap();
@@ -1880,9 +1925,11 @@ mod tests {
     fn boot_shared(
         opts: ServeOptions,
     ) -> (Endpoint, Shutdown, std::thread::JoinHandle<Result<(), SimError>>, Arc<Shared>) {
+        let shutdown = Shutdown::new();
         let server =
-            Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), opts).unwrap();
-        let (endpoint, shutdown) = (server.endpoint(), server.shutdown_handle());
+            Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), opts, shutdown.clone())
+                .unwrap();
+        let endpoint = server.endpoint();
         let shared = Arc::clone(&server.shared);
         (endpoint, shutdown, std::thread::spawn(move || server.run()), shared)
     }

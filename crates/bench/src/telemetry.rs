@@ -25,7 +25,7 @@
 //!   (`# HELP`/`# TYPE` lines, counters, gauges, and cumulative
 //!   `_bucket`/`_sum`/`_count` histogram series) behind [`exposition`].
 //!   The grammar is documented in DESIGN.md §12.
-//! - [`spawn_health_endpoint`] — the one `/healthz` / `/readyz` /
+//! - `spawn_health_endpoint` — the one `/healthz` / `/readyz` /
 //!   `/metrics` HTTP listener, shared by the campaign server and the
 //!   fleet supervisor; each passes its own readiness rule and exposition.
 //!
@@ -38,11 +38,10 @@
 //! interesting signal is the order of magnitude of the tail.
 
 use crate::serve::server::Shutdown;
+use crate::serve::{serve_connections, Listener};
 use fac_sim::obs::Json;
 use std::io::{Read, Write};
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Number of log2 buckets: bucket 0 holds values in `[0, 1]`, bucket
@@ -519,53 +518,28 @@ fn probe_response(
 ///
 /// Outside every data-plane loop and admission gate, a scrape keeps
 /// answering while cell traffic is shed. Each connection gets its own
-/// short-lived thread with 2 s read/write deadlines, so a scraper that
-/// connects and sends nothing delays neither the next scrape nor a cell
-/// RPC.
-pub fn spawn_health_endpoint(
-    listener: TcpListener,
+/// short-lived thread from [`serve_connections`] with 2 s read/write
+/// deadlines, so a scraper that connects and sends nothing delays
+/// neither the next scrape nor a cell RPC.
+pub(crate) fn spawn_health_endpoint(
+    listener: Listener,
     shutdown: Shutdown,
     ready: impl Fn() -> Result<(), &'static str> + Send + Sync + 'static,
     exposition: impl Fn() -> String + Send + Sync + 'static,
 ) -> std::thread::JoinHandle<()> {
-    let probes = Arc::new((ready, exposition));
     std::thread::spawn(move || {
-        if listener.set_nonblocking(true).is_err() {
-            return;
-        }
-        let mut scrapes: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !shutdown.is_set() {
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    let probes = Arc::clone(&probes);
-                    scrapes.retain(|t| !t.is_finished());
-                    scrapes.push(std::thread::spawn(move || {
-                        // Some platforms hand out accepted sockets with
-                        // the listener's O_NONBLOCK; deadlines need a
-                        // blocking one.
-                        let deadline = Some(Duration::from_secs(2));
-                        if stream.set_nonblocking(false).is_err()
-                            || stream.set_read_timeout(deadline).is_err()
-                            || stream.set_write_timeout(deadline).is_err()
-                        {
-                            return;
-                        }
-                        let head = read_request_head(&mut stream);
-                        let response = probe_response(&head, &probes.0, &probes.1);
-                        let _ = stream.write_all(response.as_bytes());
-                        let _ = stream.flush();
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
+        serve_connections(&listener, &shutdown, move |mut conn| {
+            let deadline = Some(Duration::from_secs(2));
+            if conn.set_read_timeout(deadline).is_err() || conn.set_write_timeout(deadline).is_err()
+            {
+                return;
             }
-        }
-        for t in scrapes {
-            t.join().ok();
-        }
+            let head = read_request_head(&mut conn);
+            let response = probe_response(&head, &ready, &exposition);
+            let _ = conn.write_all(response.as_bytes());
+            let _ = conn.flush();
+        })
+        .ok();
     })
 }
 

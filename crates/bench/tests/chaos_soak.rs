@@ -33,9 +33,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn boot(
     opts: ServeOptions,
 ) -> (Endpoint, Shutdown, std::thread::JoinHandle<Result<(), SimError>>) {
-    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), opts).unwrap();
+    let shutdown = Shutdown::new();
+    let server =
+        Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), opts, shutdown.clone()).unwrap();
     let endpoint = server.endpoint();
-    let shutdown = server.shutdown_handle();
     let handle = std::thread::spawn(move || server.run());
     (endpoint, shutdown, handle)
 }

@@ -13,6 +13,8 @@
 //!   hit and the new sweep's artifact is byte-identical.
 //! - The supervisor's `stats` sums every counter and load gauge of its
 //!   workers' own `stats`.
+//! - A forwarded cell waits for no accept poll: twenty cells, each on a
+//!   fresh worker connection, take well under half a second.
 //! - The one health endpoint answers the same way on a lone server and
 //!   on the supervisor, and an idle scraper delays nobody.
 //! - SIGTERM drains the fleet one worker at a time to a clean exit 0.
@@ -481,6 +483,30 @@ fn supervisor_stats_sum_every_worker_field() {
     send_signal(u64::from(sup.id()), "TERM");
     assert_eq!(wait_exit(&mut sup, 60).code(), Some(0), "drain must exit 0");
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// Every forward dials its worker afresh, so a worker that waited before
+/// accepting would add that wait to every cell: twenty `__sleep:0` cells
+/// through the supervisor finish well inside twenty accept-poll sleeps.
+#[test]
+fn forwarded_cells_are_served_without_waiting() {
+    let base = temp_dir("fresh");
+    let sock = base.join("sup.sock");
+    let mut sup = spawn_fleet(&base, &sock, 2, &["--test-cells"]);
+    let endpoint = Endpoint::Unix(sock.clone());
+    let mut client = Client::connect(&endpoint, Duration::from_secs(30)).unwrap();
+    let start = Instant::now();
+    for _ in 0..20 {
+        let cell = cell_request("__sleep:0", "fac", Scale::Smoke);
+        let resp = client.rpc(&Request::Cell(cell)).unwrap();
+        assert!(matches!(resp, Response::Cell { .. }), "cell refused: {resp:?}");
+    }
+    let took = start.elapsed();
+
+    send_signal(u64::from(sup.id()), "TERM");
+    assert_eq!(wait_exit(&mut sup, 60).code(), Some(0), "drain must exit 0");
+    std::fs::remove_dir_all(&base).ok();
+    assert!(took < Duration::from_millis(500), "20 forwarded cells took {took:?}");
 }
 
 /// One HTTP exchange with a health endpoint: `request` out, the whole
