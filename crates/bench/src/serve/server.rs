@@ -274,8 +274,8 @@ pub(crate) static METRICS: &[Metric<Shared>] = &[
 /// Span phases, in request order. `queue` is everything before a role is
 /// decided (parse, resolve, store lookup, admission), `coalesce` is a
 /// follower's wait on the leader, `simulate` is the leader's run,
-/// `commit` is the store write + publish, `serialize` is rendering and
-/// writing the response line.
+/// `commit` is the store write + publish, `serialize` is rendering the
+/// response line (the socket write follows the access-log line).
 const PHASE_NAMES: [&str; 5] = ["queue", "coalesce", "simulate", "commit", "serialize"];
 const QUEUE: usize = 0;
 const COALESCE: usize = 1;
@@ -703,17 +703,17 @@ fn handle_conn(shared: &Arc<Shared>, shutdown: &Shutdown, mut conn: Conn) {
     let mut idle = Duration::ZERO;
     let mut pending = Vec::new();
     let peer = conn.peer();
-    let respond =
-        |conn: &mut Conn, resp: &Response| write_line(conn, &render_response(resp)).is_ok();
-    // Renders, writes, and times the serialize phase, then folds the
-    // finished span into the histograms and access log — every response
-    // path goes through here, so every request leaves a span.
+    // Renders the response and times that as the serialize phase, folds
+    // the finished span into the histograms and access log, and only then
+    // writes the line — so a client holding its answer can already read
+    // the request's log line. Every response path goes through here, so
+    // every request leaves a span.
     let conclude = |conn: &mut Conn, resp: &Response, mut span: Span| -> bool {
         let start = Instant::now();
-        let ok = respond(conn, resp);
+        let line = render_response(resp);
         span.phases[SERIALIZE] = start.elapsed();
         shared.telemetry.observe(&span, &peer, shared.opts.slow_ms);
-        ok
+        write_line(conn, &line).is_ok()
     };
     loop {
         if shutdown.is_set() {

@@ -6,10 +6,11 @@
 //! contract: the whole `tiered_run` experiment renders byte-identical
 //! tables and JSON at any worker count.
 
+use fac_asm::Program;
 use fac_bench::experiments::only;
 use fac_bench::{build_suite, Cx};
-use fac_sim::tier::run_fast_verified;
-use fac_sim::{Machine, MachineConfig};
+use fac_sim::tier::{run_fast_verified, run_sampled, Functional, SampleSpec, WindowStats};
+use fac_sim::{functional_snapshot, Machine, MachineConfig};
 use fac_workloads::Scale;
 
 /// Every workload × {plain, tuned} × {baseline, fac, fac+tlb, strict}:
@@ -75,4 +76,46 @@ fn tiered_run_experiment_is_byte_identical_at_any_job_count() {
     // The sweep actually covered the suite and verified every fast run.
     assert!(serial.human.contains("compress"));
     assert!(serial.json.to_pretty(2).contains("\"fast_verified\": true"));
+}
+
+/// `run_sampled`'s windows, driven by hand through the public hand-off:
+/// `functional_snapshot` and `Machine::restore`, each fingerprinting the
+/// program on every call.
+fn sampled_by_hand(cfg: &MachineConfig, program: &Program, spec: SampleSpec) -> Vec<WindowStats> {
+    let machine = Machine::new(*cfg).with_max_insts(u64::MAX);
+    let mut fun = Functional::new(program).with_strict_mem(cfg.strict_mem);
+    let mut windows = Vec::new();
+    while !fun.halted() {
+        let start_inst = fun.insts();
+        let snap = functional_snapshot(cfg, program, fun.state());
+        let mut sess = machine.restore(program, &snap).unwrap();
+        let mut w = 0;
+        while w < spec.window && !sess.halted() && sess.step().unwrap() {
+            w += 1;
+        }
+        let rep = sess.finish().unwrap();
+        windows.push(WindowStats { start_inst, insts: rep.stats.insts, cycles: rep.stats.cycles });
+        fun.adopt(rep.final_state, w);
+        if !fun.halted() {
+            fun.run(spec.every - spec.window).unwrap();
+        }
+    }
+    windows
+}
+
+/// `run_sampled` fingerprints once per run; its windows must equal the
+/// public, fingerprint-per-call hand-off on two kernels under both
+/// configurations.
+#[test]
+fn sampled_windows_match_the_public_hand_off() {
+    let spec = SampleSpec { every: 1_000, window: 200 };
+    let suite = build_suite(Scale::Smoke);
+    for b in suite.iter().filter(|b| ["compress", "tomcatv"].contains(&b.workload.name)) {
+        for cfg in [MachineConfig::paper_baseline(), MachineConfig::paper_baseline().with_fac()] {
+            let name = b.workload.name;
+            let sampled = run_sampled(&cfg, &b.tuned, spec, fac_bench::MAX_INSTS).unwrap();
+            assert!(sampled.windows.len() > 1, "{name}: one window");
+            assert_eq!(sampled.windows, sampled_by_hand(&cfg, &b.tuned, spec), "{name}");
+        }
+    }
 }

@@ -92,7 +92,24 @@ pub(crate) fn unframe(bytes: &[u8]) -> Result<&[u8], SnapError> {
 /// cache on (configuration fingerprint × program fingerprint) — the same
 /// identities the checkpoint frames verify on restore.
 pub fn config_fingerprint(config: &crate::MachineConfig) -> u64 {
-    fnv1a(FNV_OFFSET, format!("{config:?}").as_bytes())
+    fnv1a_debug(FNV_OFFSET, config)
+}
+
+/// `fnv1a` over `value`'s `Debug` rendering, streamed through the hash
+/// instead of collected into a `String` first. FNV-1a is bytewise, so the
+/// digest is the same either way.
+fn fnv1a_debug(state: u64, value: &impl std::fmt::Debug) -> u64 {
+    struct Fnv(u64);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = fnv1a(self.0, s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut h = Fnv(state);
+    // Writing into `Fnv` cannot fail, so neither can the formatting.
+    let _ = std::fmt::Write::write_fmt(&mut h, format_args!("{value:?}"));
+    h.0
 }
 
 /// FNV-1a digest of the program identity: name, layout registers, every
@@ -100,6 +117,8 @@ pub fn config_fingerprint(config: &crate::MachineConfig) -> u64 {
 /// excluded (their map order is not canonical, and they do not affect
 /// execution).
 pub fn program_fingerprint(program: &Program) -> u64 {
+    #[cfg(test)]
+    FINGERPRINTS.with(|n| n.set(n.get() + 1));
     let mut h = FNV_OFFSET;
     h = fnv1a(h, program.name.as_bytes());
     for word in [
@@ -114,13 +133,20 @@ pub fn program_fingerprint(program: &Program) -> u64 {
     h = fnv1a(h, &program.static_bytes.to_le_bytes());
     h = fnv1a(h, &(program.text.len() as u64).to_le_bytes());
     for insn in &program.text {
-        h = fnv1a(h, format!("{insn:?}").as_bytes());
+        h = fnv1a_debug(h, insn);
     }
     h = fnv1a(h, &(program.data.len() as u64).to_le_bytes());
     for blob in &program.data {
-        h = fnv1a(h, format!("{blob:?}").as_bytes());
+        h = fnv1a_debug(h, blob);
     }
     h
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `program_fingerprint` calls made on this thread, so a test can
+    /// count what one run costs.
+    pub(crate) static FINGERPRINTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Wraps a purely architectural state in a full machine snapshot — the
@@ -142,16 +168,49 @@ pub fn functional_snapshot(
     program: &Program,
     state: &ArchState,
 ) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.u64(config_fingerprint(config));
-    w.u64(program_fingerprint(program));
-    state.save_state(&mut w);
-    save_stats(&SimStats::default(), &mut w);
-    Pipeline::new(*config).save_state(&mut w);
+    let (config_fp, program_fp) = (config_fingerprint(config), program_fingerprint(program));
+    functional_snapshot_keyed(config, config_fp, program_fp, state)
+}
+
+/// [`functional_snapshot`] with both fingerprints supplied by the caller:
+/// [`crate::tier::run_sampled`] computes them once per run, not once per
+/// window.
+pub(crate) fn functional_snapshot_keyed(
+    config: &MachineConfig,
+    config_fp: u64,
+    program_fp: u64,
+    state: &ArchState,
+) -> Vec<u8> {
     // Always carry fresh checker state: a checking machine (debug builds,
     // --checks) requires it, and a non-checking machine skips past it.
-    w.u8(1);
-    InvariantChecker::new(config).save_state(&mut w);
+    let (pipe, checker) = (Pipeline::new(*config), InvariantChecker::new(config));
+    encode(config_fp, program_fp, state, &SimStats::default(), &pipe, Some(&checker))
+}
+
+/// Frames one machine state under its two fingerprints: the one payload
+/// layout behind both [`functional_snapshot`] and
+/// [`crate::Session::checkpoint`].
+pub(crate) fn encode(
+    config_fp: u64,
+    program_fp: u64,
+    state: &ArchState,
+    stats: &SimStats,
+    pipe: &Pipeline,
+    checker: Option<&InvariantChecker>,
+) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.u64(config_fp);
+    w.u64(program_fp);
+    state.save_state(&mut w);
+    save_stats(stats, &mut w);
+    pipe.save_state(&mut w);
+    match checker {
+        None => w.u8(0),
+        Some(chk) => {
+            w.u8(1);
+            chk.save_state(&mut w);
+        }
+    }
     frame(&w.into_bytes())
 }
 
@@ -176,7 +235,7 @@ fn load_cache_stats(r: &mut SnapReader<'_>) -> Result<CacheStats, SnapError> {
 }
 
 /// Serializes every statistics counter.
-pub(crate) fn save_stats(s: &SimStats, w: &mut SnapWriter) {
+fn save_stats(s: &SimStats, w: &mut SnapWriter) {
     w.u64(s.insts);
     w.u64(s.cycles);
     w.u64(s.loads);

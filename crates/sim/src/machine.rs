@@ -364,7 +364,7 @@ impl Machine {
         program: &'p Program,
         bytes: &[u8],
     ) -> Result<Session<'p>, SimError> {
-        self.restore_labelled(program, bytes, "<memory>")
+        self.restore_labelled(program, crate::ckpt::program_fingerprint(program), bytes, "<memory>")
     }
 
     /// Restores a [`Session`] from a snapshot file written by
@@ -381,12 +381,16 @@ impl Machine {
     ) -> Result<Session<'p>, SimError> {
         let label = path.display().to_string();
         let bytes = std::fs::read(path).map_err(|e| SimError::io(&label, e))?;
-        self.restore_labelled(program, &bytes, &label)
+        self.restore_labelled(program, crate::ckpt::program_fingerprint(program), &bytes, &label)
     }
 
-    fn restore_labelled<'p>(
+    /// The one restore path. `program_fp` must be
+    /// [`crate::program_fingerprint`] of `program`: the public wrappers
+    /// compute it per call, [`crate::tier::run_sampled`] once per run.
+    pub(crate) fn restore_labelled<'p>(
         &self,
         program: &'p Program,
+        program_fp: u64,
         bytes: &[u8],
         label: &str,
     ) -> Result<Session<'p>, SimError> {
@@ -404,12 +408,11 @@ impl Machine {
                  (fingerprint {config_fp:#018x}, this machine is {want:#018x})"
             ))));
         }
-        let program_fp = r.u64("program fingerprint").map_err(ck)?;
-        let want = crate::ckpt::program_fingerprint(program);
-        if program_fp != want {
+        let snap_fp = r.u64("program fingerprint").map_err(ck)?;
+        if snap_fp != program_fp {
             return Err(ck(SnapError::new(format!(
                 "snapshot was taken over a different program \
-                 (fingerprint {program_fp:#018x}, '{}' is {want:#018x})",
+                 (fingerprint {snap_fp:#018x}, '{}' is {program_fp:#018x})",
                 program.name
             ))));
         }
@@ -635,20 +638,14 @@ impl<'p> Session<'p> {
     /// in `ckpt.rs`). Restoring it with [`Machine::restore`] and running
     /// to completion yields the same [`SimReport`] as never stopping.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = fac_core::snap::SnapWriter::new();
-        w.u64(crate::ckpt::config_fingerprint(&self.config));
-        w.u64(crate::ckpt::program_fingerprint(self.program));
-        self.state.save_state(&mut w);
-        crate::ckpt::save_stats(&self.stats, &mut w);
-        self.pipe.save_state(&mut w);
-        match &self.checker {
-            None => w.u8(0),
-            Some(chk) => {
-                w.u8(1);
-                chk.save_state(&mut w);
-            }
-        }
-        crate::ckpt::frame(&w.into_bytes())
+        crate::ckpt::encode(
+            crate::ckpt::config_fingerprint(&self.config),
+            crate::ckpt::program_fingerprint(self.program),
+            &self.state,
+            &self.stats,
+            &self.pipe,
+            self.checker.as_ref(),
+        )
     }
 
     /// Writes [`Session::checkpoint`] to `path` atomically (temporary

@@ -27,7 +27,7 @@
 //! `SimError::Runaway` fires at the identical instruction count whether a
 //! program runs functionally, sampled, or fully detailed.
 
-use crate::ckpt::program_fingerprint;
+use crate::ckpt::{config_fingerprint, functional_snapshot_keyed, program_fingerprint};
 use crate::exec::{ArchState, ExecError};
 use crate::machine::{check_budget, Machine, SimError};
 use crate::oracle::{compare_memory, diverged, exec_insn, ExecCore, Oracle};
@@ -652,6 +652,12 @@ impl<'p> Functional<'p> {
         self.state
     }
 
+    /// The program's fingerprint, as hashed when the block cache was
+    /// bound to it.
+    pub(crate) fn program_fp(&self) -> u64 {
+        self.cache.program_fp
+    }
+
     /// Gives the block cache back for reuse by a later run.
     pub fn into_cache(self) -> BlockCache {
         self.cache
@@ -932,10 +938,11 @@ pub struct SampledReport {
 /// The window-first phase guarantees at least one measurement window for
 /// any program that retires at least one instruction.
 ///
-/// The functional-to-detailed hand-off is a real checkpoint
-/// ([`crate::functional_snapshot`] → [`crate::Machine::restore`]), so the
-/// detailed window starts from exactly the architectural state the fast
-/// tier produced, fingerprint-verified.
+/// The functional-to-detailed hand-off is a real checkpoint (the code
+/// behind [`crate::functional_snapshot`] → [`crate::Machine::restore`]),
+/// so the detailed window starts from exactly the architectural state the
+/// fast tier produced, fingerprint-verified. The program and config are
+/// fingerprinted once per run, not once per window.
 ///
 /// # Errors
 ///
@@ -956,12 +963,15 @@ pub fn run_sampled(
     let mut fun = Functional::new(program)
         .with_strict_mem(config.strict_mem)
         .with_max_insts(max_insts);
+    // Neither can change during the run, and the block cache has already
+    // hashed the program.
+    let (config_fp, program_fp) = (config_fingerprint(config), fun.program_fp());
     let mut windows = Vec::new();
 
     while !fun.halted() {
         let start = fun.insts();
-        let snap = crate::ckpt::functional_snapshot(config, program, fun.state());
-        let mut sess = machine.restore(program, &snap)?;
+        let snap = functional_snapshot_keyed(config, config_fp, program_fp, fun.state());
+        let mut sess = machine.restore_labelled(program, program_fp, &snap, "<memory>")?;
         let mut w = 0u64;
         while w < spec.window && !sess.halted() {
             check_budget(fun.insts() + w, max_insts)?;
@@ -1071,6 +1081,39 @@ mod tests {
         f2.run_to_halt().unwrap();
         let cache = f2.into_cache();
         assert_eq!(cache.invalidations(), 1);
+    }
+
+    #[test]
+    fn sampled_run_fingerprints_the_program_once() {
+        let program = sum_program();
+        let cfg = MachineConfig::paper_baseline().with_fac();
+        let before = crate::ckpt::FINGERPRINTS.with(std::cell::Cell::get);
+        let spec = SampleSpec { every: 40, window: 10 };
+        let r = run_sampled(&cfg, &program, spec, 1_000_000).unwrap();
+        assert!(r.windows.len() > 3, "{} windows", r.windows.len());
+        assert_eq!(crate::ckpt::FINGERPRINTS.with(std::cell::Cell::get) - before, 1);
+    }
+
+    /// The keyed hand-off `run_sampled` uses keeps both fingerprint checks:
+    /// a frame keyed to another config or program, or a restore expecting
+    /// another program, is a typed checkpoint error.
+    #[test]
+    fn keyed_hand_off_rejects_mismatched_fingerprints() {
+        let program = sum_program();
+        let cfg = MachineConfig::paper_baseline();
+        let machine = Machine::new(cfg);
+        let mut fun = Functional::new(&program);
+        fun.run(5).unwrap();
+        let (cfp, pfp) = (config_fingerprint(&cfg), fun.program_fp());
+        assert_eq!(pfp, program_fingerprint(&program));
+        let keyed = |cfp, pfp| functional_snapshot_keyed(&cfg, cfp, pfp, fun.state());
+        let restore = |snap: &[u8], pfp| machine.restore_labelled(&program, pfp, snap, "<memory>");
+
+        assert!(restore(&keyed(cfp, pfp), pfp).is_ok());
+        let (good, bad_cfg, bad_prog) = (keyed(cfp, pfp), keyed(cfp ^ 1, pfp), keyed(cfp, pfp ^ 1));
+        for (snap, want) in [(bad_cfg, pfp), (bad_prog, pfp), (good, pfp ^ 1)] {
+            assert!(matches!(restore(&snap, want), Err(SimError::Checkpoint { .. })));
+        }
     }
 
     #[test]
