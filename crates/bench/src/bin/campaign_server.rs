@@ -29,7 +29,6 @@ fn usage() -> ! {
     eprintln!("       [--max-queue N] [--request-timeout-secs N] [--idle-timeout-secs N]");
     eprintln!("       [--metrics host:port] [--access-log <path>] [--slow-ms N]");
     eprintln!("       [--test-cells] [--chaos-store <spec>] [--degrade-after N] [--store-probe-ms N]");
-    eprintln!("       [--scrub-interval-secs N]");
     eprintln!("       (chaos spec: seed=N,enospc=PCT,burst=N,short=PCT,fsync=PCT,rename=PCT,read=PCT)");
     std::process::exit(2);
 }
@@ -49,7 +48,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--chaos-store",
     "--degrade-after",
     "--store-probe-ms",
-    "--scrub-interval-secs",
 ];
 
 /// Unwraps a parse result or exits with the typed error and the usage.
@@ -81,7 +79,7 @@ fn main() -> std::process::ExitCode {
     or_usage(args.no_positionals(
         "--listen, --store-dir, --max-queue, --request-timeout-secs, --idle-timeout-secs, \
          --metrics, --access-log, --slow-ms, --test-cells, --chaos-store, --degrade-after, \
-         --store-probe-ms, --scrub-interval-secs",
+         --store-probe-ms",
     ));
     let Some(listen) = args.value("--listen") else { usage() };
     let endpoint = or_usage(Endpoint::parse("--listen", listen));
@@ -113,13 +111,7 @@ fn main() -> std::process::ExitCode {
     // the spec's seeded schedule. Never useful in production — which is
     // the point.
     if let Some(spec) = args.value("--chaos-store") {
-        match fac_bench::chaos::ChaosPlan::parse(spec) {
-            Ok(plan) => opts.chaos_store = Some(plan),
-            Err(e) => {
-                eprintln!("error: --chaos-store: {e}");
-                usage()
-            }
-        }
+        opts.chaos_store = Some(or_usage(fac_bench::chaos::ChaosPlan::parse(spec)));
     }
     if let Some(n) =
         positive(&args, "--degrade-after", "consecutive store-write failures before degrading, at least 1")
@@ -130,13 +122,6 @@ fn main() -> std::process::ExitCode {
         positive(&args, "--store-probe-ms", "a degraded-store probe interval in whole milliseconds, at least 1")
     {
         opts.store_probe_ms = n;
-    }
-    if let Some(n) = positive(
-        &args,
-        "--scrub-interval-secs",
-        "a store-scrub interval in whole seconds, at least 1",
-    ) {
-        opts.scrub_interval_secs = n;
     }
 
     // Signals are routed before the socket exists: a SIGTERM sent as

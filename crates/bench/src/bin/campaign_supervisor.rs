@@ -44,8 +44,7 @@ mod unix {
         eprintln!("       [--workers N] [--worker-bin <path>] [--heartbeat-ms N] [--miss-budget N]");
         eprintln!("       [--seed N] [--backoff-base-ms N] [--backoff-cap-ms N]");
         eprintln!("       [--quarantine-after N] [--quarantine-window-secs N]");
-        eprintln!("       [--request-timeout-secs N] [--scrub-interval-secs N]");
-        eprintln!("       [--metrics host:port] [--test-cells]");
+        eprintln!("       [--request-timeout-secs N] [--metrics host:port] [--test-cells]");
         std::process::exit(2);
     }
 
@@ -64,7 +63,6 @@ mod unix {
         "--quarantine-after",
         "--quarantine-window-secs",
         "--request-timeout-secs",
-        "--scrub-interval-secs",
         "--metrics",
     ];
 
@@ -105,8 +103,7 @@ mod unix {
         or_usage(args.no_positionals(
             "--listen, --store-dir, --run-dir, --workers, --worker-bin, --heartbeat-ms, \
              --miss-budget, --seed, --backoff-base-ms, --backoff-cap-ms, --quarantine-after, \
-             --quarantine-window-secs, --request-timeout-secs, --scrub-interval-secs, \
-             --metrics, --test-cells",
+             --quarantine-window-secs, --request-timeout-secs, --metrics, --test-cells",
         ));
         let Some(listen) = args.value("--listen") else { usage() };
         let endpoint = or_usage(Endpoint::parse("--listen", listen));
@@ -162,13 +159,6 @@ mod unix {
             "a forwarded-request deadline in whole seconds, at least 1",
         ) {
             opts.request_timeout_secs = n;
-        }
-        if let Some(n) = positive(
-            &args,
-            "--scrub-interval-secs",
-            "a store-scrub interval in whole seconds, at least 1",
-        ) {
-            opts.scrub_interval_secs = n;
         }
         opts.metrics_addr = args.value("--metrics").map(str::to_string);
         opts.test_cells = args.flag("--test-cells");

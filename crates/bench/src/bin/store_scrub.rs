@@ -7,9 +7,9 @@
 //! Re-verifies every FACCELL frame with the same checks the read path
 //! applies (magic, version, length, FNV-1a content digest, JSON shape)
 //! and quarantines corrupt frames with `component=scrubber` provenance
-//! in their `.reason` notes — exactly what the in-server background
-//! scrubber (`campaign_server --scrub-interval-secs N`) does per pass,
-//! but runnable against a store no server currently owns.
+//! in their `.reason` notes. A running server checks each frame the
+//! same way when it reads it (`component=read-path`); this tool checks
+//! every frame at once, on demand.
 //!
 //! Exit status: 0 when every frame scanned clean, 1 when anything was
 //! corrupt or missing (CI's scrub smoke asserts a clean second pass

@@ -28,7 +28,7 @@ use crate::io::{Fs, RealFs};
 use crate::serve::server::{lock, Shutdown};
 use crate::serve::{serve_connections, Conn, Endpoint, Listener};
 use fac_core::rng::{splitmix64, SplitMix64};
-use fac_sim::SimError;
+use fac_sim::{ConfigError, SimError};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -86,31 +86,44 @@ impl ChaosPlan {
     ///
     /// # Errors
     ///
-    /// A human-readable message naming the offending pair.
-    pub fn parse(spec: &str) -> Result<ChaosPlan, String> {
+    /// [`ConfigError::BadFlagValue`] for `--chaos-store`, naming the
+    /// offending pair: not `key=value`, a non-numeric value, an unknown
+    /// key, a rate above 100 percent, or a burst above `u32::MAX`.
+    pub fn parse(spec: &str) -> Result<ChaosPlan, SimError> {
         let mut plan = ChaosPlan::default();
         for pair in spec.split(',').filter(|p| !p.is_empty()) {
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("'{pair}' is not key=value"))?;
-            let num =
-                value.parse::<u64>().map_err(|_| format!("'{pair}' has a non-numeric value"))?;
-            let pct = |num: u64| -> Result<u8, String> {
-                if num <= 100 {
-                    Ok(num as u8)
-                } else {
-                    Err(format!("'{pair}' exceeds 100 percent"))
+            let bad = |expected: &'static str| -> SimError {
+                ConfigError::BadFlagValue {
+                    flag: "--chaos-store".to_string(),
+                    value: pair.to_string(),
+                    expected,
                 }
+                .into()
+            };
+            let (key, value) = pair.split_once('=').ok_or_else(|| bad("key=value pairs"))?;
+            let num = value
+                .parse::<u64>()
+                .map_err(|_| bad("a non-negative integer value"))?;
+            let pct = |num: u64| match u8::try_from(num) {
+                Ok(p) if p <= 100 => Ok(p),
+                _ => Err(bad("a rate of 0 to 100 percent")),
             };
             match key {
                 "seed" => plan.seed = num,
                 "enospc" => plan.enospc_pct = pct(num)?,
-                "burst" => plan.enospc_burst = num as u32,
+                "burst" => {
+                    plan.enospc_burst = u32::try_from(num)
+                        .map_err(|_| bad("a burst of at most u32::MAX operations"))?;
+                }
                 "short" => plan.short_pct = pct(num)?,
                 "fsync" => plan.fsync_pct = pct(num)?,
                 "rename" => plan.rename_pct = pct(num)?,
                 "read" => plan.read_pct = pct(num)?,
-                other => return Err(format!("unknown chaos key '{other}'")),
+                _ => {
+                    return Err(bad(
+                        "keys seed, enospc, burst, short, fsync, rename or read",
+                    ))
+                }
             }
         }
         Ok(plan)
@@ -769,9 +782,25 @@ mod tests {
         assert_eq!(plan.rename_pct, 3);
         assert_eq!(plan.read_pct, 2);
         assert_eq!(ChaosPlan::parse("").unwrap(), ChaosPlan::default());
-        for bad in ["warp=1", "enospc", "enospc=abc", "enospc=101"] {
-            assert!(ChaosPlan::parse(bad).is_err(), "{bad}");
+        for bad in [
+            "warp=1",
+            "enospc",
+            "enospc=abc",
+            "enospc=101",
+            "burst=4294967296",
+        ] {
+            let err = ChaosPlan::parse(bad).unwrap_err();
+            let typed = matches!(
+                &err,
+                SimError::InvalidConfig(ConfigError::BadFlagValue { flag, value, .. })
+                    if flag == "--chaos-store" && value == bad
+            );
+            assert!(typed, "{bad}: {err}");
         }
+        assert_eq!(
+            ChaosPlan::parse("burst=4294967295").unwrap().enospc_burst,
+            u32::MAX
+        );
     }
 
     #[test]

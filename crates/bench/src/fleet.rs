@@ -117,9 +117,6 @@ pub struct FleetOptions {
     pub request_timeout_secs: u64,
     /// Pass `--test-cells` to workers (integration/soak tests).
     pub test_cells: bool,
-    /// Store-scrubber interval for worker 0, seconds (0 disables; one
-    /// scrubber per fleet is enough — the store is shared).
-    pub scrub_interval_secs: u64,
     /// Aggregated health/metrics HTTP listener (`host:port`), if any.
     pub metrics_addr: Option<String>,
 }
@@ -146,7 +143,6 @@ impl FleetOptions {
             quarantine_window_secs: 30,
             request_timeout_secs: 600,
             test_cells: false,
-            scrub_interval_secs: 0,
             metrics_addr: None,
         }
     }
@@ -456,11 +452,6 @@ fn spawn_worker(opts: &FleetOptions, worker: &mut Worker) -> Result<(), SimError
         .stdin(Stdio::null());
     if opts.test_cells {
         cmd.arg("--test-cells");
-    }
-    // One scrubber per fleet: the store is shared, so worker 0 scrubbing
-    // covers everyone's frames.
-    if worker.index == 0 && opts.scrub_interval_secs > 0 {
-        cmd.arg("--scrub-interval-secs").arg(opts.scrub_interval_secs.to_string());
     }
     let child = cmd.spawn().map_err(|e| SimError::io(&opts.worker_bin.display().to_string(), e))?;
     worker.pid = child.id() as i32;

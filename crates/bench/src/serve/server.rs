@@ -44,7 +44,7 @@ use super::proto::{
     parse_request, read_line, render_response, write_line, ErrorKind, LineEvent, Request,
     Response,
 };
-use super::store::{Lookup, Scrub, Store};
+use super::store::{Lookup, Store};
 use super::{
     catalog_fingerprint, cell_identity, config_by_name, scale_name, serve_connections, sw_support,
     Conn, Endpoint, Listener, CONFIG_NAMES,
@@ -119,12 +119,6 @@ pub struct ServeOptions {
     /// Fault-inject the store's filesystem per this plan
     /// (`--chaos-store`). Testing/ops tooling; `None` in production.
     pub chaos_store: Option<crate::chaos::ChaosPlan>,
-    /// Seconds between background store-scrub passes
-    /// (`--scrub-interval-secs`). Each pass re-verifies every `FACCELL`
-    /// frame on disk at low priority; corrupt frames are quarantined with
-    /// `component=scrubber` provenance and recomputed on next request.
-    /// `0` disables the scrubber.
-    pub scrub_interval_secs: u64,
 }
 
 impl ServeOptions {
@@ -144,7 +138,6 @@ impl ServeOptions {
             degrade_after: 3,
             store_probe_ms: 2000,
             chaos_store: None,
-            scrub_interval_secs: 0,
         }
     }
 }
@@ -186,9 +179,6 @@ struct Counters {
     store_read_errors: AtomicU64,
     store_put_skipped: AtomicU64,
     degraded_intervals: AtomicU64,
-    scrub_passes: AtomicU64,
-    scrub_scanned: AtomicU64,
-    scrub_corrupt: AtomicU64,
 }
 
 /// HELP text shared by the rows of one series.
@@ -228,47 +218,38 @@ pub(crate) static METRICS: &[Metric<Shared>] = &[
     Metric::new("degraded_intervals", Kind::Counter(|s| &s.counters.degraded_intervals),
         6, "faccell_degraded_intervals_total", None,
         "Times the store entered degraded (read-only) mode."),
-    Metric::new("scrub_passes", Kind::Counter(|s| &s.counters.scrub_passes),
-        7, "faccell_scrub_passes_total", None,
-        "Completed background scrub passes over the store."),
-    Metric::new("scrub_scanned", Kind::Counter(|s| &s.counters.scrub_scanned),
-        8, "faccell_scrub_scanned_total", None,
-        "Frames re-verified by the background scrubber."),
-    Metric::new("scrub_corrupt", Kind::Counter(|s| &s.counters.scrub_corrupt),
-        9, "faccell_scrub_corrupt_total", None,
-        "Frames the scrubber found corrupt and quarantined."),
     Metric::new("store_degraded", Kind::Flag(Shared::store_degraded),
-        10, "faccell_store_degraded", None,
+        7, "faccell_store_degraded", None,
         "1 while the store is in degraded (read-only) mode."),
     Metric::new("entries", Kind::Shared(|s| lock(&s.store).len().unwrap_or(0) as u64),
-        14, "faccell_store_entries", None,
+        11, "faccell_store_entries", None,
         "Committed cells in the content-addressed store."),
     Metric::new("admitted", Kind::Gauge(|s| s.admitted.load(Ordering::SeqCst) as u64),
-        12, "faccell_admitted", None,
+        9, "faccell_admitted", None,
         "Simulations past the admission gate right now."),
     Metric::new("uptime_secs", Kind::Uptime(|s| s.telemetry.started),
-        15, "faccell_uptime_seconds", None,
+        12, "faccell_uptime_seconds", None,
         "Seconds since the server started."),
     Metric::new("build_version", Kind::Text(|_| build_version()), 0, "", None, ""),
     Metric::new("inflight", Kind::Gauge(|s| lock(&s.inflight).len() as u64),
-        11, "faccell_inflight", None,
+        8, "faccell_inflight", None,
         "Simulations registered for coalescing right now."),
     Metric::new("max_queue", Kind::Gauge(|s| s.opts.max_queue as u64),
-        13, "faccell_queue_limit", None,
+        10, "faccell_queue_limit", None,
         "Admission bound (--max-queue)."),
     Metric::new("latency.request_us", Kind::Hist(|s| lock(&s.telemetry.request_us).clone()),
-        16, "faccell_request_us", None,
+        13, "faccell_request_us", None,
         "Cell request latency across all phases, microseconds."),
     Metric::new("latency.queue_us", Kind::Hist(|s| s.telemetry.phase(QUEUE)),
-        17, "faccell_phase_us", Some(("phase", "queue")), PHASES),
+        14, "faccell_phase_us", Some(("phase", "queue")), PHASES),
     Metric::new("latency.coalesce_us", Kind::Hist(|s| s.telemetry.phase(COALESCE)),
-        17, "faccell_phase_us", Some(("phase", "coalesce")), PHASES),
+        14, "faccell_phase_us", Some(("phase", "coalesce")), PHASES),
     Metric::new("latency.simulate_us", Kind::Hist(|s| s.telemetry.phase(SIMULATE)),
-        17, "faccell_phase_us", Some(("phase", "simulate")), PHASES),
+        14, "faccell_phase_us", Some(("phase", "simulate")), PHASES),
     Metric::new("latency.commit_us", Kind::Hist(|s| s.telemetry.phase(COMMIT)),
-        17, "faccell_phase_us", Some(("phase", "commit")), PHASES),
+        14, "faccell_phase_us", Some(("phase", "commit")), PHASES),
     Metric::new("latency.serialize_us", Kind::Hist(|s| s.telemetry.phase(SERIALIZE)),
-        17, "faccell_phase_us", Some(("phase", "serialize")), PHASES),
+        14, "faccell_phase_us", Some(("phase", "serialize")), PHASES),
 ];
 
 /// Span phases, in request order. `queue` is everything before a role is
@@ -659,14 +640,6 @@ impl Server {
                 move || telemetry::exposition(METRICS, &render),
             )
         });
-        // The store scrubber is a low-priority anti-entropy walk: it
-        // takes the store lock one frame at a time and yields between
-        // frames, so cell traffic always wins the contention.
-        let scrub_thread = (self.shared.opts.scrub_interval_secs > 0).then(|| {
-            let shared = Arc::clone(&self.shared);
-            let shutdown = self.shutdown.clone();
-            std::thread::spawn(move || run_scrubber(&shared, &shutdown))
-        });
         // Drain: connections observe the flag after their current request
         // and return; every in-flight response is finished, not cut.
         let (shared, shutdown) = (Arc::clone(&self.shared), self.shutdown.clone());
@@ -681,9 +654,6 @@ impl Server {
         .map_err(|e| SimError::io(&self.endpoint().to_string(), e))?;
         if let Some(m) = metrics_thread {
             m.join().ok();
-        }
-        if let Some(s) = scrub_thread {
-            s.join().ok();
         }
         if let Some(log) = &self.shared.telemetry.access {
             lock(log).flush();
@@ -805,63 +775,6 @@ fn with_trace(mut resp: Response, echo: &Option<String>) -> Response {
 /// same string exactly when they would produce comparable artifacts.
 fn build_version() -> String {
     format!("fac-bench {} cfg:{:#018x}", env!("CARGO_PKG_VERSION"), catalog_fingerprint())
-}
-
-/// The background store scrubber: every `scrub_interval_secs` it walks
-/// the store's committed frames in sorted key order, re-verifying each
-/// one in place. A corrupt frame is quarantined (with
-/// `component=scrubber` provenance in its `.reason` note) so the next
-/// request for the cell recomputes it transparently — bit rot is found
-/// and healed without waiting for a cache hit to trip over it.
-///
-/// Low priority by construction: the store lock is taken one frame at a
-/// time and the walk sleeps between frames, so serving traffic always
-/// wins the contention.
-fn run_scrubber(shared: &Arc<Shared>, shutdown: &Shutdown) {
-    let interval = Duration::from_secs(shared.opts.scrub_interval_secs);
-    let mut next_pass = Instant::now() + interval;
-    while !shutdown.is_set() {
-        if Instant::now() < next_pass {
-            std::thread::sleep(POLL.min(interval));
-            continue;
-        }
-        let keys = match lock(&shared.store).keys() {
-            Ok(keys) => keys,
-            Err(e) => {
-                eprintln!("campaign server: scrub pass cannot list the store: {e}");
-                next_pass = Instant::now() + interval;
-                continue;
-            }
-        };
-        for key in keys {
-            if shutdown.is_set() {
-                return;
-            }
-            match lock(&shared.store).scrub_key(key) {
-                Ok(Scrub::Clean | Scrub::Missing) => {
-                    shared.bump(&shared.counters.scrub_scanned);
-                }
-                Ok(Scrub::Corrupt(fault)) => {
-                    shared.bump(&shared.counters.scrub_scanned);
-                    shared.bump(&shared.counters.scrub_corrupt);
-                    shared.bump(&shared.counters.quarantined);
-                    eprintln!(
-                        "campaign server: scrubber quarantined store entry {key:#018x} \
-                         ({fault}); the cell will be recomputed on next request"
-                    );
-                }
-                Err(e) => {
-                    shared.bump(&shared.counters.store_read_errors);
-                    eprintln!("campaign server: scrub probe for {key:#018x} failed: {e}");
-                }
-            }
-            // Yield between frames: the scrubber must never monopolize
-            // the store lock against serving traffic.
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        shared.bump(&shared.counters.scrub_passes);
-        next_pass = Instant::now() + interval;
-    }
 }
 
 /// Everything resolved about a cell before simulation: the plan the
@@ -1160,7 +1073,6 @@ mod tests {
             degrade_after: 3,
             store_probe_ms: 50,
             chaos_store: None,
-            scrub_interval_secs: 0,
         }
     }
 
@@ -1969,9 +1881,6 @@ mod tests {
              store_read_errors: u64\n\
              store_put_skipped: u64\n\
              degraded_intervals: u64\n\
-             scrub_passes: u64\n\
-             scrub_scanned: u64\n\
-             scrub_corrupt: u64\n\
              store_degraded: bool\n\
              entries: u64\n\
              admitted: u64\n\
@@ -2056,15 +1965,6 @@ mod tests {
              # HELP faccell_degraded_intervals_total Times the store entered degraded (read-only) mode.\n\
              # TYPE faccell_degraded_intervals_total counter\n\
              faccell_degraded_intervals_total\n\
-             # HELP faccell_scrub_passes_total Completed background scrub passes over the store.\n\
-             # TYPE faccell_scrub_passes_total counter\n\
-             faccell_scrub_passes_total\n\
-             # HELP faccell_scrub_scanned_total Frames re-verified by the background scrubber.\n\
-             # TYPE faccell_scrub_scanned_total counter\n\
-             faccell_scrub_scanned_total\n\
-             # HELP faccell_scrub_corrupt_total Frames the scrubber found corrupt and quarantined.\n\
-             # TYPE faccell_scrub_corrupt_total counter\n\
-             faccell_scrub_corrupt_total\n\
              # HELP faccell_store_degraded 1 while the store is in degraded (read-only) mode.\n\
              # TYPE faccell_store_degraded gauge\n\
              faccell_store_degraded\n\

@@ -258,7 +258,7 @@ impl Store {
     }
 
     /// The keys of every committed entry, sorted — the deterministic walk
-    /// order the scrubber uses. Files whose names are not `{16 hex}.cell`
+    /// order `store_scrub` uses. Files whose names are not `{16 hex}.cell`
     /// are not store entries and are skipped.
     ///
     /// # Errors
@@ -280,7 +280,7 @@ impl Store {
         Ok(keys)
     }
 
-    /// Re-verifies one frame in place — the scrubber's anti-entropy probe.
+    /// Re-verifies one frame in place — `store_scrub`'s anti-entropy probe.
     /// A frame that fails any check is quarantined exactly as a read-path
     /// failure would be, with `component=scrubber` provenance in its
     /// `.reason` note; the next request for the cell sees a miss and

@@ -471,7 +471,7 @@ fn supervisor_stats_sum_every_worker_field() {
         assert_eq!(fleet.get(key).and_then(Json::as_u64), Some(sum), "{key}: {fleet}");
         summed += 1;
     }
-    assert!(summed >= 17, "only {summed} summed fields in {}", workers[0]);
+    assert!(summed >= 14, "only {summed} summed fields in {}", workers[0]);
     assert_eq!(leaf(&fleet, "hits"), 6, "{fleet}");
     assert_eq!(leaf(&fleet, "misses"), 6, "{fleet}");
     assert_eq!(leaf(&fleet, "max_queue"), 2 * 32, "{fleet}");

@@ -351,8 +351,12 @@ fn flipped_store_byte_is_quarantined_and_recomputed() {
     );
     // The damaged bytes are preserved for post-mortem, and the slot holds
     // a fresh verified entry.
-    assert_eq!(cell_files(&store.join("quarantine")).len(), 1);
+    let quarantined = cell_files(&store.join("quarantine"));
+    assert_eq!(quarantined.len(), 1);
     assert_eq!(cell_files(&store).len(), 38);
+    // The serving read path, the only in-process check, found it.
+    let note = std::fs::read_to_string(quarantined[0].with_extension("reason")).unwrap();
+    assert!(note.starts_with("component=read-path check="), "{note}");
 
     send_signal(&server, "TERM");
     let mut server = server;

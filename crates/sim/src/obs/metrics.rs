@@ -10,7 +10,6 @@
 //! valid.
 
 use super::json::{Json, JsonError};
-use crate::profiler::ProfileReport;
 use crate::stats::{OffsetHistogram, PredCounters, RefClass, SimStats};
 use fac_core::{FailureCause, LtbStats};
 use fac_mem::{CacheStats, TlbStats};
@@ -27,8 +26,8 @@ pub enum Metric {
 
 /// An ordered collection of named metrics.
 ///
-/// Registration order is preserved in every export, so text output diffs
-/// cleanly between runs and JSON key order is deterministic.
+/// Registration order is preserved in the export, so JSON key order is
+/// deterministic and diffs cleanly between runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     entries: Vec<(String, Metric)>,
@@ -62,18 +61,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Adds `delta` to a counter, creating it at zero first if needed.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        match self.index.get(name) {
-            Some(&i) => {
-                if let Metric::Counter(v) = &mut self.entries[i].1 {
-                    *v += delta;
-                }
-            }
-            None => self.counter(name, delta),
-        }
-    }
-
     /// Looks a metric up by name.
     pub fn get(&self, name: &str) -> Option<Metric> {
         self.index.get(name).map(|&i| self.entries[i].1)
@@ -92,18 +79,6 @@ impl MetricsRegistry {
     /// Iterates `(name, metric)` in registration order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, Metric)> + '_ {
         self.entries.iter().map(|(n, m)| (n.as_str(), *m))
-    }
-
-    /// One line per metric: `name<TAB>value`.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (name, metric) in self.iter() {
-            match metric {
-                Metric::Counter(v) => out.push_str(&format!("{name}\t{v}\n")),
-                Metric::Gauge(v) => out.push_str(&format!("{name}\t{v:?}\n")),
-            }
-        }
-        out
     }
 
     /// A flat JSON object: `{"name": value, ...}`.
@@ -244,34 +219,6 @@ impl RegisterMetrics for SimStats {
     }
 }
 
-impl RegisterMetrics for ProfileReport {
-    fn register_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let p = |n: &str| format!("{prefix}.{n}");
-        reg.counter(&p("insts"), self.insts);
-        reg.counter(&p("loads"), self.loads);
-        reg.counter(&p("stores"), self.stores);
-        for class in RefClass::ALL {
-            reg.counter(&p(&format!("loads.class.{}", class.label())), self.loads_by_class[class.index()]);
-            reg.counter(&p(&format!("stores.class.{}", class.label())), self.stores_by_class[class.index()]);
-            reg.counter(
-                &p(&format!("load_fails.class.{}", class.label())),
-                self.load_fails_by_class[class.index()],
-            );
-            reg.gauge(
-                &p(&format!("load_fail_rate.class.{}", class.label())),
-                self.load_fail_rate(class),
-            );
-        }
-        self.pred_loads.register_metrics(reg, &p("pred.loads"));
-        self.pred_stores.register_metrics(reg, &p("pred.stores"));
-        for class in RefClass::ALL {
-            self.load_offsets[class.index()]
-                .register_metrics(reg, &p(&format!("offsets.{}", class.label())));
-        }
-        reg.counter(&p("mem_footprint"), self.mem_footprint);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,13 +229,11 @@ mod tests {
         reg.counter("b", 1);
         reg.counter("a", 2);
         reg.counter("b", 3);
-        reg.add("a", 5);
-        reg.add("c", 1);
         let names: Vec<&str> = reg.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, ["b", "a", "c"]);
+        assert_eq!(names, ["b", "a"]);
         assert_eq!(reg.get("b"), Some(Metric::Counter(3)));
-        assert_eq!(reg.get("a"), Some(Metric::Counter(7)));
-        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.get("a"), Some(Metric::Counter(2)));
+        assert_eq!(reg.len(), 2);
     }
 
     #[test]
@@ -306,7 +251,6 @@ mod tests {
         reg.counter("sim.cycles", 100);
         reg.gauge("sim.ipc", 2.5);
         assert_eq!(reg.to_json().to_string(), r#"{"sim.cycles":100,"sim.ipc":2.5}"#);
-        assert_eq!(reg.to_text(), "sim.cycles\t100\nsim.ipc\t2.5\n");
         let back = MetricsRegistry::from_json(&reg.to_json().to_string()).unwrap();
         assert_eq!(back, reg);
     }

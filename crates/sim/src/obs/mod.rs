@@ -4,9 +4,8 @@
 //! information available mechanically and at finer grain:
 //!
 //! - [`MetricsRegistry`] — every simulator counter under a stable dotted
-//!   name, with JSON and one-line-per-metric text export
-//!   ([`RegisterMetrics`] is implemented for [`crate::SimStats`],
-//!   [`fac_mem::CacheStats`], [`fac_mem::TlbStats`],
+//!   name, with JSON export ([`RegisterMetrics`] is implemented for
+//!   [`crate::SimStats`], [`fac_mem::CacheStats`], [`fac_mem::TlbStats`],
 //!   [`fac_core::LtbStats`] and friends);
 //! - [`Event`] — a cycle-stamped structured event stream (speculations,
 //!   verifications, replays, stalls, cache misses, injected faults) behind
