@@ -12,9 +12,10 @@
 //! functional tier only (no timing) and reports instruction counts, a
 //! whole-suite architectural smoke check.
 //!
-//! Crash safety: `--resume <dir>` journals every finished cell to a
-//! durable manifest and skips it on the next invocation, so a killed
-//! sweep resumes where it stopped with a byte-identical final artifact;
+//! Crash safety: `--resume <dir>` commits every finished cell to a
+//! content-addressed store and skips it on the next invocation with the
+//! same result-shaping flags, so a killed sweep resumes where it stopped
+//! with a byte-identical final artifact;
 //! `--keep-going` renders failed cells as `null` row lanes plus an
 //! `errors` block instead of aborting; `--timeout-secs` / `--retries`
 //! bound and retry individual cells.
@@ -158,7 +159,7 @@ fn sweep(cx: &Cx, args: &Args) -> Result<Exp, SimError> {
     for b in &suite {
         jobs.push(format!("snapshot:{}", b.workload.name), move || snapshot_cell(b, tier));
     }
-    let (results, wall) = jobs.run_cached_timed(cx.jobs, &cx.opts, cx.manifest);
+    let (results, wall) = jobs.run_cached_timed(cx.jobs, &cx.opts, cx.cache);
     let (cells, errors) = if cx.opts.keep_going {
         degrade(results)
     } else {

@@ -16,14 +16,13 @@
 //! (like `make -k`: finish everything, then report the run incomplete).
 //! The `--json` artifact is byte-identical at any `--jobs` count.
 //!
-//! Crash safety: `--resume <dir>` journals every finished seed so a killed
+//! Crash safety: `--resume <dir>` stores every finished seed so a killed
 //! campaign picks up where it stopped with a byte-identical artifact;
 //! `--timeout-secs` / `--retries` bound and retry individual seeds;
 //! `--keep-going` turns failed seed jobs into `null` artifact lanes plus
 //! an `errors` block instead of aborting.
 
 use fac_bench::fuzz::{run_campaign_with, CampaignConfig};
-use fac_bench::manifest::Manifest;
 use fac_bench::Args;
 use fac_core::FaultPlan;
 use fac_sim::SimError;
@@ -94,22 +93,19 @@ fn main() -> std::process::ExitCode {
     }
     let jobs = or_usage(args.jobs());
     let opts = or_usage(args.run_options());
-    let manifest = match args.resume_dir() {
-        None => None,
-        Some(dir) => match Manifest::open(Path::new(dir)) {
-            Ok(m) => Some(m),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return std::process::ExitCode::FAILURE;
-            }
-        },
+    let cache = match args.cache() {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return std::process::ExitCode::FAILURE;
+        }
     };
     let json_path = args.value("--json").map(String::from);
     let repro_dir = args.value("--repro-dir").map(String::from);
     // `--json -` keeps stdout pure JSON.
     let human = json_path.as_deref() != Some("-");
 
-    let campaign = match run_campaign_with(&cc, jobs, &opts, manifest.as_ref()) {
+    let campaign = match run_campaign_with(&cc, jobs, &opts, cache.as_ref()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
@@ -174,8 +170,8 @@ fn main() -> std::process::ExitCode {
         }
     }
 
-    // A broken resume journal means the run cannot claim durable success.
-    if let Some(e) = manifest.as_ref().and_then(Manifest::take_error) {
+    // A broken resume cache means the run cannot claim durable success.
+    if let Some(e) = cache.as_ref().and_then(fac_bench::par::Cache::error) {
         eprintln!("error: {e}");
         return std::process::ExitCode::FAILURE;
     }

@@ -129,13 +129,13 @@ impl<'a> Spec<'a> {
     }
 
     /// Runs the experiment's grid under the context's worker count and
-    /// robustness policy (resume manifest included) and renders.
+    /// robustness policy (resume cache included) and renders.
     ///
     /// # Errors
     ///
     /// The lowest-indexed job failure, per [`crate::par::strict`].
     pub fn run(self, cx: &Cx) -> Result<Exp, SimError> {
-        let cells = crate::par::strict(self.jobs.run_cached(cx.jobs, &cx.opts, cx.manifest))?;
+        let cells = crate::par::strict(self.jobs.run_cached(cx.jobs, &cx.opts, cx.cache))?;
         Ok((self.render)(cells))
     }
 }
@@ -190,7 +190,7 @@ pub fn run_all(cx: &Cx) -> Result<Exp, SimError> {
         tails.push((spec.name, spec.render, spec.jobs.len()));
         pool.append(spec.jobs);
     }
-    let results = pool.run_cached(cx.jobs, &cx.opts, cx.manifest);
+    let results = pool.run_cached(cx.jobs, &cx.opts, cx.cache);
 
     if !cx.opts.keep_going {
         let mut cells = crate::par::strict(results)?.into_iter();
@@ -269,7 +269,7 @@ fn single(spec: SpecFn, cx: &Cx) -> Result<Exp, SimError> {
     let s = spec(&suite, cx.scale);
     let name = s.name;
     let n = s.jobs.len();
-    let results = s.jobs.run_cached(cx.jobs, &cx.opts, cx.manifest);
+    let results = s.jobs.run_cached(cx.jobs, &cx.opts, cx.cache);
     if !cx.opts.keep_going {
         return Ok((s.render)(crate::par::strict(results)?));
     }

@@ -21,15 +21,15 @@
 //! seed that does *not* diverge is the failure — the oracle would have
 //! missed real architectural corruption.
 //!
-//! Campaigns are crash-safe: each seed's work is journaled to a durable
-//! [`Manifest`] the moment it finishes (see [`run_campaign_with`]), so a
-//! killed campaign resumed with the same parameters skips finished seeds
-//! and still produces a byte-identical artifact. Under the keep-going
-//! policy a seed whose *job* fails (panic, deadline) degrades to a `null`
-//! lane in the artifact instead of aborting the campaign.
+//! Campaigns are crash-safe: each seed's work is committed to the
+//! `--resume` result [`Cache`] the moment it finishes (see
+//! [`run_campaign_with`]), so a killed campaign resumed with the same
+//! parameters skips finished seeds and still produces a byte-identical
+//! artifact. Under the keep-going policy a seed whose *job* fails (panic,
+//! deadline) degrades to a `null` lane in the artifact instead of
+//! aborting the campaign.
 
-use crate::manifest::Manifest;
-use crate::par::{self, JobSet, RunOptions};
+use crate::par::{self, Cache, JobSet, RunOptions};
 use fac_asm::{assemble_and_link, fuzz_source, SoftwareSupport};
 use fac_core::FaultPlan;
 use fac_sim::obs::Json;
@@ -126,8 +126,8 @@ impl CampaignReport {
 }
 
 /// The per-seed artifact cell — exactly the object that appears in the
-/// campaign document's `seeds` array, and exactly what the resume
-/// manifest journals per finished seed.
+/// campaign document's `seeds` array, and exactly what the resume cache
+/// stores per finished seed.
 fn seed_json(o: &SeedOutcome) -> Json {
     let mut s = Json::obj();
     s.set("seed", Json::U64(o.seed));
@@ -147,8 +147,8 @@ fn seed_json(o: &SeedOutcome) -> Json {
 }
 
 /// Inverse of [`seed_json`]; the only way malformed cells arrive here is
-/// through a tampered resume manifest, so failures are typed
-/// [`SimError::Checkpoint`].
+/// through a resume cache entry that verified but holds the wrong shape,
+/// so failures are typed [`SimError::Checkpoint`].
 fn parse_seed(cell: &Json) -> Result<SeedOutcome, SimError> {
     let bad = |what: &str| SimError::Checkpoint {
         path: "campaign cell".to_string(),
@@ -236,8 +236,8 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// [`SimError::Checkpoint`] when a cell restored from a resume
-    /// manifest does not have the campaign cell shape.
+    /// [`SimError::Checkpoint`] when a cell restored from the resume
+    /// cache does not have the campaign cell shape.
     pub fn report(&self) -> Result<CampaignReport, SimError> {
         let mut outcomes = Vec::new();
         for cell in &self.cells {
@@ -284,7 +284,7 @@ fn lockstep(cfg: MachineConfig, cc: &CampaignConfig) -> Lockstep {
 }
 
 /// Runs the whole campaign across `jobs` worker threads with the default
-/// robustness policy and no resume manifest.
+/// robustness policy and no resume cache.
 ///
 /// Check failures do **not** abort the campaign — they are shrunk and
 /// reported in the [`CampaignReport`]; only infrastructure failures (a
@@ -297,8 +297,8 @@ pub fn run_campaign(cc: &CampaignConfig, jobs: usize) -> Result<CampaignReport, 
     run_campaign_with(cc, jobs, &RunOptions::default(), None)?.report()
 }
 
-/// Runs the campaign under an explicit robustness policy, journaling each
-/// finished seed to `manifest` (when resuming) and skipping seeds it
+/// Runs the campaign under an explicit robustness policy, committing each
+/// finished seed to `cache` (when resuming) and skipping seeds it
 /// already holds. Under `opts.keep_going`, failed seed jobs become `null`
 /// lanes in [`Campaign::cells`] instead of aborting.
 ///
@@ -311,13 +311,13 @@ pub fn run_campaign_with(
     cc: &CampaignConfig,
     jobs: usize,
     opts: &RunOptions,
-    manifest: Option<&Manifest>,
+    cache: Option<&Cache>,
 ) -> Result<Campaign, SimError> {
     let mut set = JobSet::new();
     for seed in cc.start..cc.start.saturating_add(cc.count) {
         set.push(format!("fuzz:{seed}"), move || Ok(seed_json(&run_seed(seed, cc))));
     }
-    let results = set.run_cached(jobs, opts, manifest);
+    let results = set.run_cached(jobs, opts, cache);
     let (cells, errors) = if opts.keep_going {
         par::degrade(results)
     } else {

@@ -23,9 +23,10 @@ use std::path::Path;
 /// This is the seam chaos testing hooks into: the store and the atomic
 /// writer only ever touch disk through these five methods, so a fault
 /// plan wrapped around them exercises exactly the failure surface a real
-/// flaky disk would. Implementations must be usable from multiple threads
-/// (`&self` receivers; the store serializes calls behind its own lock).
-pub trait Fs: Send {
+/// flaky disk would. Implementations must be shareable across threads
+/// (`&self` receivers, `Sync`): the `--resume` pool workers share one
+/// store without a lock.
+pub trait Fs: Send + Sync {
     /// Reads the entire contents of `path`.
     fn read(&self, path: &Path) -> std::io::Result<Vec<u8>>;
     /// Creates (or truncates) `path` and writes `bytes` to it. A chaotic

@@ -32,6 +32,7 @@
 //! ignored typo that runs the wrong sweep.
 
 use fac_asm::{Program, SoftwareSupport};
+use fac_core::snap::{fnv1a, FNV_OFFSET};
 use fac_core::{AddrFields, PredictorConfig};
 use fac_sim::obs::Json;
 use fac_sim::{
@@ -46,7 +47,6 @@ pub mod experiments;
 pub mod fleet;
 pub mod fuzz;
 pub mod io;
-pub mod manifest;
 pub mod par;
 pub mod serve;
 pub mod telemetry;
@@ -160,7 +160,7 @@ pub struct Exp {
 
 /// Shared run context every experiment receives: workload scale, the
 /// worker count for the [`par`] harness, the robustness policy, and the
-/// resume manifest (when `--resume` is active).
+/// result cache (when `--resume` is active).
 #[derive(Debug, Clone, Copy)]
 pub struct Cx<'m> {
     /// Workload scale (`--smoke` or Paper).
@@ -170,9 +170,9 @@ pub struct Cx<'m> {
     /// Watchdog / retry / keep-going policy (`--timeout-secs`,
     /// `--retries`, `--keep-going`).
     pub opts: par::RunOptions,
-    /// Durable campaign manifest (`--resume <dir>`): completed jobs are
-    /// skipped and their journaled results re-merged.
-    pub manifest: Option<&'m manifest::Manifest>,
+    /// Result cache (`--resume <dir>`): completed jobs are skipped and
+    /// their stored results re-merged.
+    pub cache: Option<&'m par::Cache>,
     /// Emit wall-clock timing lanes (`--timings`). Off by default so
     /// artifacts stay byte-identical across runs and `--jobs` counts;
     /// opting in adds `bench.*` latency percentiles to `--json` output.
@@ -180,10 +180,10 @@ pub struct Cx<'m> {
 }
 
 impl Cx<'static> {
-    /// A context with default robustness policy and no manifest (for
-    /// tests and library callers).
+    /// A context with default robustness policy and no cache (for tests
+    /// and library callers).
     pub fn simple(scale: Scale, jobs: usize) -> Cx<'static> {
-        Cx { scale, jobs, opts: par::RunOptions::default(), manifest: None, timings: false }
+        Cx { scale, jobs, opts: par::RunOptions::default(), cache: None, timings: false }
     }
 }
 
@@ -207,6 +207,19 @@ pub const STD_BOOL_FLAGS: &[&str] = &["--smoke", "--keep-going", "--timings"];
 /// Value-taking flags every experiment binary accepts.
 pub const STD_VALUE_FLAGS: &[&str] =
     &["--json", "--jobs", "--resume", "--timeout-secs", "--retries"];
+/// The flags that cannot change any job's result, left out of
+/// [`Args::fingerprint`]: worker count, where output and the cache go,
+/// timing lanes, and the robustness policy (a failed job is never cached).
+pub const NON_SHAPING_FLAGS: &[&str] = &[
+    "--jobs",
+    "--resume",
+    "--json",
+    "--timings",
+    "--timeout-secs",
+    "--retries",
+    "--keep-going",
+    "--repro-dir",
+];
 
 impl Args {
     /// Parses the process argv (excluding the program name).
@@ -367,9 +380,37 @@ impl Args {
         Ok(par::RunOptions { timeout_secs, retries, keep_going: self.flag("--keep-going") })
     }
 
-    /// The `--resume` campaign directory, if passed.
-    pub fn resume_dir(&self) -> Option<&str> {
-        self.value("--resume")
+    /// The campaign fingerprint: FNV-1a over every argument except the
+    /// [`NON_SHAPING_FLAGS`], flags in name order (repeats keep their
+    /// order, since the first one wins). Any flag not listed there shapes
+    /// the fingerprint, so a new flag can cost a cache miss but never
+    /// serve another campaign's result.
+    pub fn fingerprint(&self) -> u64 {
+        let mut flags: Vec<(&str, &str)> = self
+            .bools
+            .iter()
+            .map(|f| (f.as_str(), ""))
+            .chain(self.values.iter().map(|(f, v)| (f.as_str(), v.as_str())))
+            .filter(|(f, _)| !NON_SHAPING_FLAGS.contains(f))
+            .collect();
+        flags.sort_by_key(|&(f, _)| f);
+        flags
+            .into_iter()
+            .flat_map(|(f, v)| [f, v])
+            .chain(self.positionals.iter().map(String::as_str))
+            .fold(FNV_OFFSET, |fp, part| fnv1a(fnv1a(fp, part.as_bytes()), b"\0"))
+    }
+
+    /// Opens the result cache at the `--resume` directory, if passed,
+    /// keyed by this campaign's [`Args::fingerprint`].
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Io`] when the directory cannot be created.
+    pub fn cache(&self) -> Result<Option<par::Cache>, SimError> {
+        let Some(dir) = self.value("--resume") else { return Ok(None) };
+        let store = serve::store::Store::open(std::path::Path::new(dir))?;
+        Ok(Some(par::Cache::new(store, self.fingerprint())))
     }
 }
 
@@ -392,12 +433,13 @@ pub fn write_json(path: &str, doc: &Json) -> Result<(), SimError> {
 
 /// Standard entry path for every experiment binary: **strictly validate
 /// argv first** (a typo exits nonzero before any simulation starts), open
-/// the `--resume` manifest if requested, run the experiment with the
+/// the `--resume` cache if requested, run the experiment with the
 /// parsed [`Cx`], print its human table, honour `--json <path|->`, and
-/// map any [`SimError`] to a nonzero exit. A broken manifest journal also
-/// fails the run — a campaign must not claim durable success it cannot
-/// deliver. The binary's own extra flags parse alongside the standard set
-/// and the experiment receives the full [`Args`] to read them back.
+/// map any [`SimError`] to a nonzero exit. A failed cache read or write
+/// also fails the run — a campaign must not claim durable success it
+/// cannot deliver. The binary's own extra flags parse alongside the
+/// standard set and the experiment receives the full [`Args`] to read
+/// them back.
 pub fn conclude_with(
     extra_bool_flags: &[&str],
     extra_value_flags: &[&str],
@@ -421,15 +463,12 @@ fn conclude_inner(
     let values: Vec<&str> = STD_VALUE_FLAGS.iter().chain(extra_value_flags).copied().collect();
     let args = Args::parse(&bools, &values)?;
     args.no_positionals(&bools.iter().chain(&values).copied().collect::<Vec<_>>().join(", "))?;
-    let manifest = match args.resume_dir() {
-        Some(dir) => Some(manifest::Manifest::open(std::path::Path::new(dir))?),
-        None => None,
-    };
+    let cache = args.cache()?;
     let cx = Cx {
         scale: args.scale(),
         jobs: args.jobs()?,
         opts: args.run_options()?,
-        manifest: manifest.as_ref(),
+        cache: cache.as_ref(),
         timings: args.flag("--timings"),
     };
     let exp = experiment(&cx, &args)?;
@@ -437,7 +476,7 @@ fn conclude_inner(
     if let Some(path) = args.value("--json") {
         write_json(path, &exp.json)?;
     }
-    if let Some(e) = manifest.as_ref().and_then(manifest::Manifest::take_error) {
+    if let Some(e) = cache.as_ref().and_then(par::Cache::error) {
         return Err(e);
     }
     Ok(())
@@ -536,6 +575,41 @@ mod tests {
         .unwrap();
         assert_eq!(args.positionals(), ["compress".to_string()]);
         assert!(args.flag("--fac"));
+    }
+
+    /// The fingerprint ignores exactly the flags that cannot change a
+    /// result, and every other flag, value and repeat order changes it.
+    #[test]
+    fn fingerprint_keys_on_result_shaping_arguments() {
+        let values = ["--json", "--jobs", "--resume", "--timeout-secs", "--retries", "--tier"];
+        let fp = |argv: &[&str]| {
+            Args::parse_from(argv.iter().map(|s| s.to_string()), STD_BOOL_FLAGS, &values)
+                .unwrap()
+                .fingerprint()
+        };
+        let base = fp(&["--smoke", "--tier", "sampled"]);
+        assert_eq!(base, fp(&["--tier", "sampled", "--smoke"]), "flag order is not a result");
+        assert_eq!(
+            base,
+            fp(&[
+                "--smoke", "--tier", "sampled", "--jobs", "3", "--json", "x.json", "--resume", "d",
+                "--timeout-secs", "9", "--retries", "2", "--keep-going", "--timings",
+            ]),
+            "non-shaping flags must not move the fingerprint"
+        );
+        for other in [
+            fp(&["--tier", "sampled"]),
+            fp(&["--smoke"]),
+            fp(&["--smoke", "--tier", "fast"]),
+            fp(&["--smoke", "--tier", "sampled", "--tier", "fast"]),
+        ] {
+            assert_ne!(base, other);
+        }
+        assert_ne!(
+            fp(&["--tier", "fast", "--tier", "sampled"]),
+            fp(&["--tier", "sampled", "--tier", "fast"]),
+            "the first of repeated flags wins, so repeat order shapes the result"
+        );
     }
 
     #[test]

@@ -37,22 +37,23 @@
 //!   lowest-index error precedence, while [`degrade`] renders failures as
 //!   `null` lanes plus an error summary so one bad cell no longer sinks a
 //!   whole campaign (`--keep-going`).
-//! - **Resume.** [`JobSet::run_cached`] consults a durable
-//!   [`crate::manifest::Manifest`]: finished jobs are skipped and their
-//!   journaled results re-merged in submission order, so an interrupted
-//!   campaign resumes byte-identically.
+//! - **Resume.** [`JobSet::run_cached`] consults a [`Cache`]: the
+//!   content-addressed [`Store`] at the `--resume` directory. Finished
+//!   jobs are skipped and their stored results re-merged in submission
+//!   order, so an interrupted campaign resumes byte-identically.
 //!
 //! The `Send` bounds this module leans on are audited at compile time in
 //! [`send_audit`]: programs, workloads, machines, observers and reports
 //! all cross (or are shared across) the worker threads.
 
-use crate::manifest::Manifest;
+use crate::serve::store::{Lookup, Store};
 use crate::telemetry::Hist;
+use fac_core::snap::{fnv1a, FNV_OFFSET};
 use fac_sim::obs::Json;
 use fac_sim::SimError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Robustness policy for one [`JobSet`] run.
@@ -129,7 +130,8 @@ impl<'env, T: Send> JobSet<'env, T> {
     }
 
     /// Appends a job. The name identifies the job in panic and timeout
-    /// reports and keys the resume manifest.
+    /// reports and, chained with the campaign fingerprint, keys its
+    /// [`Cache`] entry.
     pub fn push(
         &mut self,
         name: impl Into<String>,
@@ -196,36 +198,96 @@ impl<'env, T: Send> JobSet<'env, T> {
     }
 }
 
+/// The `--resume` result cache: a content-addressed [`Store`] whose
+/// key for a job is FNV-1a of the job's name chained with one campaign
+/// fingerprint ([`crate::Args::fingerprint`]). A result is reused only
+/// by a campaign whose result-shaping arguments match, so the worst a
+/// changed flag can cost is a cache miss, never a wrong result.
+///
+/// Pool workers share one `&Cache`. A corrupt entry is quarantined by
+/// [`Store::get`] and recomputed; a store failure never changes a result,
+/// but it is latched and surfaced by [`Cache::error`] so the run cannot
+/// claim durable success.
+#[derive(Debug)]
+pub struct Cache {
+    store: Store,
+    campaign: u64,
+    error: OnceLock<SimError>,
+}
+
+impl Cache {
+    /// A cache over `store` for the campaign with fingerprint `campaign`.
+    pub(crate) fn new(store: Store, campaign: u64) -> Cache {
+        Cache { store, campaign, error: OnceLock::new() }
+    }
+
+    /// The store key of job `name` in this campaign.
+    fn key(&self, name: &str) -> u64 {
+        fnv1a(fnv1a(FNV_OFFSET, name.as_bytes()), &self.campaign.to_le_bytes())
+    }
+
+    /// The verified stored result of job `name`, if any. A corrupt entry
+    /// has been quarantined and reads as a miss.
+    fn lookup(&self, name: &str) -> Option<Json> {
+        match self.store.get(self.key(name)) {
+            Ok(Lookup::Hit(result)) => Some(result),
+            Ok(Lookup::Miss) => None,
+            Ok(Lookup::Quarantined(fault)) => {
+                eprintln!("resume: quarantined the stored result of {name} ({fault}); recomputing");
+                None
+            }
+            Err(e) => {
+                self.error.get_or_init(|| e);
+                None
+            }
+        }
+    }
+
+    /// Commits a fresh result. Called from the worker the moment its job
+    /// succeeds, so a kill right after costs nothing.
+    fn record(&self, name: &str, result: &Json) {
+        if let Err(e) = self.store.put(self.key(name), result) {
+            self.error.get_or_init(|| e);
+        }
+    }
+
+    /// The first store failure, if any — check after the campaign so a
+    /// run whose cache is broken does not claim durable success.
+    pub fn error(&self) -> Option<SimError> {
+        self.error.get().cloned()
+    }
+}
+
 impl<'env> JobSet<'env, Json> {
-    /// [`JobSet::run_each`] backed by a durable campaign [`Manifest`]:
-    /// jobs already journaled are skipped and their cached results merged
-    /// back in submission order; fresh successes are journaled the moment
-    /// they complete. With `manifest == None` this is `run_each`.
+    /// [`JobSet::run_each`] backed by a [`Cache`]: jobs already stored are
+    /// skipped and their results merged back in submission order; fresh
+    /// successes are stored the moment they complete. With
+    /// `cache == None` this is `run_each`.
     pub fn run_cached(
         self,
         workers: usize,
         opts: &RunOptions,
-        manifest: Option<&Manifest>,
+        cache: Option<&Cache>,
     ) -> Vec<Outcome<Json>> {
-        self.run_cached_timed(workers, opts, manifest).0
+        self.run_cached_timed(workers, opts, cache).0
     }
 
     /// [`JobSet::run_cached`] plus the wall-clock [`Hist`] of
     /// [`JobSet::run_each_timed`]. Only cells that actually executed are
-    /// timed — manifest-cached cells cost no simulation and would drown
-    /// the distribution in near-zero samples.
+    /// timed — cached cells cost no simulation and would drown the
+    /// distribution in near-zero samples.
     pub fn run_cached_timed(
         self,
         workers: usize,
         opts: &RunOptions,
-        manifest: Option<&Manifest>,
+        cache: Option<&Cache>,
     ) -> (Vec<Outcome<Json>>, Hist) {
         let n = self.jobs.len();
         let mut out: Vec<Option<Outcome<Json>>> = (0..n).map(|_| None).collect();
         let mut live = Vec::new();
         let mut live_slots = Vec::new();
         for (i, job) in self.jobs.into_iter().enumerate() {
-            match manifest.and_then(|m| m.lookup(&job.name)) {
+            match cache.and_then(|c| c.lookup(&job.name)) {
                 Some(cached) => out[i] = Some((job.name, Ok(cached))),
                 None => {
                     live_slots.push(i);
@@ -234,13 +296,13 @@ impl<'env> JobSet<'env, Json> {
             }
         }
         let hist = Mutex::new(Hist::new());
-        let journal = |name: &str, result: &Result<Json, SimError>, elapsed: Duration| {
-            if let (Some(m), Ok(value)) = (manifest, result) {
-                m.record(name, value);
+        let commit = |name: &str, result: &Result<Json, SimError>, elapsed: Duration| {
+            if let (Some(c), Ok(value)) = (cache, result) {
+                c.record(name, value);
             }
             hist.lock().expect("timing hist").record(elapsed.as_millis() as u64);
         };
-        let fresh = run_engine(live, workers, opts, &journal);
+        let fresh = run_engine(live, workers, opts, &commit);
         for (slot, result) in live_slots.into_iter().zip(fresh) {
             out[slot] = Some(result);
         }
@@ -305,7 +367,7 @@ type OnDone<'a, T> = &'a (dyn Fn(&str, &Result<T, SimError>, Duration) + Sync);
 
 /// The engine: serial fast path or scoped worker pool, with the watchdog
 /// and retry policy applied per job and `on_done` invoked (from the
-/// executing worker, the moment the outcome is known) for journaling.
+/// executing worker, the moment the outcome is known) for caching.
 fn run_engine<'env, T: Send>(
     jobs: Vec<Job<'env, T>>,
     workers: usize,
@@ -417,6 +479,8 @@ mod send_audit {
         assert_send::<fac_sim::ProfileReport>();
         assert_send::<fac_sim::SimError>();
         assert_send::<fac_sim::obs::Json>();
+        // The `--resume` cache is shared by every worker, lock-free.
+        assert_sync::<super::Cache>();
         // Observers ride along with observed runs (`Observer: Send` is a
         // supertrait); the Recorder's JSONL sink is `Box<dyn Write + Send>`.
         assert_send::<fac_sim::obs::NullObserver>();
@@ -677,66 +741,109 @@ mod tests {
             assert!(hist.min().unwrap() >= 1, "jobs slept 2ms, min {:?}", hist.min());
         }
 
-        // Manifest-cached cells are not timed: only live execution counts.
-        let dir = std::env::temp_dir().join(format!("fac_par_timed_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let build = || {
-            let mut jobs = JobSet::new();
-            for i in 0..4u64 {
-                jobs.push(format!("cell:{i}"), move || Ok(Json::U64(i)));
-            }
-            jobs
-        };
-        let m = Manifest::open(&dir).unwrap();
-        let (_, first) = build().run_cached_timed(2, &RunOptions::default(), Some(&m));
+        // Cached cells are not timed: only live execution counts.
+        let dir = temp_dir("timed");
+        let executed = AtomicU64::new(0);
+        let opts = RunOptions::default();
+        let cache = open_cache(&dir, 1);
+        let (_, first) = squares(4, &executed).run_cached_timed(2, &opts, Some(&cache));
         assert_eq!(first.count(), 4);
-        drop(m);
-        let m = Manifest::open(&dir).unwrap();
-        let (out, second) = build().run_cached_timed(2, &RunOptions::default(), Some(&m));
+        let cache = open_cache(&dir, 1);
+        let (out, second) = squares(4, &executed).run_cached_timed(2, &opts, Some(&cache));
         assert_eq!(strict(out).unwrap().len(), 4);
         assert_eq!(second.count(), 0, "cached cells must not be timed");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `run_cached` journals fresh results, skips journaled jobs on the
-    /// next run, and merges cached and live results in submission order.
-    #[test]
-    fn run_cached_skips_journaled_jobs_and_merges_in_order() {
-        let dir = std::env::temp_dir()
-            .join(format!("fac_par_cached_{}", std::process::id()));
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("fac_par_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
 
+    fn open_cache(dir: &std::path::Path, campaign: u64) -> Cache {
+        Cache::new(Store::open(dir).unwrap(), campaign)
+    }
+
+    /// `count` jobs `cell:i -> i*i`, each bumping `executed` when it runs.
+    fn squares(count: u64, executed: &AtomicU64) -> JobSet<'_, Json> {
+        let mut jobs = JobSet::new();
+        for i in 0..count {
+            jobs.push(format!("cell:{i}"), move || {
+                executed.fetch_add(1, Ordering::Relaxed);
+                Ok(Json::U64(i * i))
+            });
+        }
+        jobs
+    }
+
+    /// `run_cached` stores fresh results, skips stored jobs on the next
+    /// run, and merges cached and live results in submission order.
+    #[test]
+    fn run_cached_skips_stored_jobs_and_merges_in_order() {
+        let dir = temp_dir("cached");
         let executed = AtomicU64::new(0);
-        let build = |upto: u64| {
-            let mut jobs = JobSet::new();
-            for i in 0..upto {
-                let executed = &executed;
-                jobs.push(format!("cell:{i}"), move || {
-                    executed.fetch_add(1, Ordering::Relaxed);
-                    Ok(Json::U64(i * i))
-                });
-            }
-            jobs
-        };
+        let opts = RunOptions::default();
 
-        // First run: half the campaign, all executed, all journaled.
-        let m = Manifest::open(&dir).unwrap();
-        let first = strict(build(3).run_cached(2, &RunOptions::default(), Some(&m))).unwrap();
+        // First run: half the campaign, all executed, all stored.
+        let cache = open_cache(&dir, 7);
+        let first = strict(squares(3, &executed).run_cached(2, &opts, Some(&cache))).unwrap();
         assert_eq!(first, vec![Json::U64(0), Json::U64(1), Json::U64(4)]);
         assert_eq!(executed.load(Ordering::Relaxed), 3);
-        assert!(m.take_error().is_none());
-        drop(m);
+        assert!(cache.error().is_none());
 
-        // Resumed run: the full campaign. Journaled cells are not re-run,
+        // Resumed run: the full campaign. Stored cells are not re-run,
         // yet the merged results are the complete set in submission order.
-        let m = Manifest::open(&dir).unwrap();
-        assert_eq!(m.len(), 3);
-        let second = strict(build(5).run_cached(2, &RunOptions::default(), Some(&m))).unwrap();
-        assert_eq!(
-            second,
-            (0..5u64).map(|i| Json::U64(i * i)).collect::<Vec<_>>()
-        );
+        let cache = open_cache(&dir, 7);
+        let second = strict(squares(5, &executed).run_cached(2, &opts, Some(&cache))).unwrap();
+        assert_eq!(second, (0..5u64).map(|i| Json::U64(i * i)).collect::<Vec<_>>());
         assert_eq!(executed.load(Ordering::Relaxed), 3 + 2, "cached cells must not re-run");
+
+        // A campaign with another fingerprint shares no entry with it.
+        let other = open_cache(&dir, 8);
+        strict(squares(5, &executed).run_cached(2, &opts, Some(&other))).unwrap();
+        assert_eq!(executed.load(Ordering::Relaxed), 5 + 5, "fingerprints must not collide");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An [`crate::io::Fs`] whose writes all fail — a full disk.
+    struct FailWrites;
+
+    impl crate::io::Fs for FailWrites {
+        fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
+            crate::io::RealFs.read(path)
+        }
+        fn write(&self, _path: &std::path::Path, _bytes: &[u8]) -> std::io::Result<()> {
+            Err(std::io::Error::other("simulated ENOSPC"))
+        }
+        fn sync(&self, path: &std::path::Path) -> std::io::Result<()> {
+            crate::io::RealFs.sync(path)
+        }
+        fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
+            crate::io::RealFs.rename(from, to)
+        }
+        fn create_dir_all(&self, path: &std::path::Path) -> std::io::Result<()> {
+            crate::io::RealFs.create_dir_all(path)
+        }
+    }
+
+    /// A failed put leaves every result correct but is latched as a typed
+    /// `SimError::Io` naming the entry, so the run cannot exit 0.
+    #[test]
+    fn failed_put_keeps_results_and_latches_a_typed_error() {
+        let dir = temp_dir("failput");
+        let cache = Cache::new(Store::open_with(&dir, Box::new(FailWrites)).unwrap(), 5);
+        let executed = AtomicU64::new(0);
+        let out = strict(squares(4, &executed).run_cached(2, &RunOptions::default(), Some(&cache)))
+            .unwrap();
+        assert_eq!(out, (0..4u64).map(|i| Json::U64(i * i)).collect::<Vec<_>>());
+        match cache.error() {
+            Some(SimError::Io { path, message }) => {
+                assert!(path.ends_with(".cell"), "the error must name the entry: {path}");
+                assert!(message.contains("simulated ENOSPC"), "{message}");
+            }
+            other => panic!("expected a latched SimError::Io, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,8 +2,8 @@
 //! result cache.
 //!
 //! ROADMAP item 2 promotes the one-shot sweep machinery — the
-//! [`crate::par::JobSet`] pool, the durable [`crate::manifest::Manifest`]
-//! journal, crash-safe resume — into a long-lived service. Exploring the
+//! [`crate::par::JobSet`] pool, the content-addressed [`store`] behind
+//! crash-safe `--resume` — into a long-lived service. Exploring the
 //! design spaces the related work opens means re-running thousands of
 //! (configuration × workload) cells with heavy overlap; a memoizing
 //! server answers repeats from its store in microseconds and only

@@ -1,8 +1,10 @@
 //! Crash-safety integration tests: a campaign binary killed mid-run (real
 //! SIGKILL — no destructors, no flushes) and resumed with `--resume` must
 //! produce a final artifact byte-identical to an uninterrupted run, at any
-//! worker count. Also pins the failure mode: a corrupted resume journal is
-//! rejected with a nonzero exit, never silently trusted.
+//! worker count. Also pins the failure modes: a corrupted resume entry is
+//! quarantined and recomputed, never trusted, and a resume directory
+//! filled by a campaign with different result-shaping flags serves none
+//! of its results.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -15,8 +17,29 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn manifest_lines(path: &Path) -> usize {
-    std::fs::read_to_string(path).map(|t| t.lines().count()).unwrap_or(0)
+/// The committed `*.cell` frames in a resume directory, sorted.
+fn cells(dir: &Path) -> Vec<PathBuf> {
+    let mut cells: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map(|iter| {
+            iter.flatten()
+                .map(|e| e.path())
+                .filter(|p| p.extension().is_some_and(|x| x == "cell"))
+                .collect()
+        })
+        .unwrap_or_default();
+    cells.sort();
+    cells
+}
+
+/// Runs `bin` with `args`, exporting to `json` and, when given, resuming
+/// from `resume`; returns whether it exited 0.
+fn run(bin: &str, args: &[&str], json: &Path, resume: Option<&Path>) -> bool {
+    let mut cmd = Command::new(bin);
+    cmd.args(args).arg("--json").arg(json).stdout(Stdio::null()).stderr(Stdio::null());
+    if let Some(dir) = resume {
+        cmd.arg("--resume").arg(dir);
+    }
+    cmd.status().unwrap().success()
 }
 
 /// Kill `bench_snapshot` partway through a sweep, then resume at a
@@ -30,7 +53,7 @@ fn killed_sweep_resumes_byte_identically() {
     let resumed = base.join("resumed.json");
     let campaign = base.join("campaign");
 
-    // Reference: one uninterrupted run (no manifest involved at all).
+    // Reference: one uninterrupted run (no cache involved at all).
     let status = Command::new(bin)
         .args(["--smoke", "--jobs", "2", "--json"])
         .arg(&straight)
@@ -39,8 +62,8 @@ fn killed_sweep_resumes_byte_identically() {
         .unwrap();
     assert!(status.success(), "reference run failed");
 
-    // Interrupted run: serial, so the journal grows one cell at a time.
-    // SIGKILL the child as soon as a couple of cells are journaled — the
+    // Interrupted run: serial, so the store grows one cell at a time.
+    // SIGKILL the child as soon as a couple of cells are committed — the
     // process gets no chance to flush or clean up anything.
     let mut child = Command::new(bin)
         .args(["--smoke", "--jobs", "1", "--json"])
@@ -50,10 +73,9 @@ fn killed_sweep_resumes_byte_identically() {
         .stdout(Stdio::null())
         .spawn()
         .unwrap();
-    let manifest = campaign.join("manifest.jsonl");
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
-        if manifest_lines(&manifest) >= 2 {
+        if cells(&campaign).len() >= 2 {
             break;
         }
         // The child racing to completion before we can kill it still
@@ -65,9 +87,9 @@ fn killed_sweep_resumes_byte_identically() {
     }
     child.kill().ok();
     child.wait().unwrap();
-    let journaled = manifest_lines(&manifest);
+    let committed = cells(&campaign).len();
 
-    // Resume at a different worker count. Journaled cells are re-merged,
+    // Resume at a different worker count. Committed cells are re-merged,
     // the rest run live; the artifact must match the reference exactly.
     let status = Command::new(bin)
         .args(["--smoke", "--jobs", "4", "--json"])
@@ -84,13 +106,13 @@ fn killed_sweep_resumes_byte_identically() {
     assert_eq!(
         a, b,
         "resumed artifact differs from the uninterrupted run \
-         ({journaled} cells were journaled at kill time)"
+         ({committed} cells were committed at kill time)"
     );
     std::fs::remove_dir_all(&base).ok();
 }
 
 /// The fuzz campaign resumes byte-identically too — in escape mode, so
-/// the journaled cells carry shrunk multi-line sources and exercise the
+/// the stored cells carry shrunk multi-line sources and exercise the
 /// render → parse → render round-trip on escaped strings.
 #[test]
 fn fuzz_campaign_resumes_byte_identically() {
@@ -109,8 +131,8 @@ fn fuzz_campaign_resumes_byte_identically() {
         .unwrap();
     assert!(status.success(), "reference campaign failed");
 
-    // First resumed run populates the journal; second re-merges every
-    // cell from the journal without running a single seed.
+    // First resumed run populates the store; second re-merges every
+    // cell from the store without running a single seed.
     for _ in 0..2 {
         let status = Command::new(bin)
             .args(args)
@@ -125,33 +147,84 @@ fn fuzz_campaign_resumes_byte_identically() {
         let b = std::fs::read(&resumed).unwrap();
         assert_eq!(a, b, "resumed fuzz artifact differs from the straight run");
     }
-    assert_eq!(manifest_lines(&campaign.join("manifest.jsonl")), 2);
+    assert_eq!(cells(&campaign).len(), 2);
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// A resume journal with a tampered (complete) line must fail the run
-/// with a nonzero exit — a campaign never trusts a journal it cannot
-/// verify.
+/// A resume entry with one flipped byte is quarantined and recomputed:
+/// the run exits 0, the artifact equals the straight run, and the damaged
+/// frame waits in `quarantine/` beside its reason note. No unverified
+/// result reaches an artifact.
 #[test]
-fn corrupted_resume_journal_is_rejected() {
+fn corrupted_resume_entry_is_quarantined_and_recomputed() {
     let bin = env!("CARGO_BIN_EXE_bench_snapshot");
     let base = temp_dir("corrupt");
+    let straight = base.join("straight.json");
+    let resumed = base.join("resumed.json");
     let campaign = base.join("campaign");
-    std::fs::create_dir_all(&campaign).unwrap();
-    std::fs::write(
-        campaign.join("manifest.jsonl"),
-        "{\"job\":\"snapshot:compress\",\"digest\":\"0x0000000000000000\",\"result\":{}}\n",
-    )
-    .unwrap();
+    let args = ["--smoke", "--jobs", "2"];
+    assert!(run(bin, &args, &straight, None), "reference run failed");
+    assert!(run(bin, &args, &resumed, Some(&campaign)), "filling run failed");
 
-    let output = Command::new(bin)
-        .args(["--smoke", "--jobs", "2"])
-        .arg("--resume")
-        .arg(&campaign)
-        .output()
-        .unwrap();
-    assert!(!output.status.success(), "a corrupted journal must fail the run");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("digest mismatch"), "stderr: {stderr}");
+    let victim = cells(&campaign).into_iter().next().expect("the fill committed cells");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&victim, &bytes).unwrap();
+
+    assert!(run(bin, &args, &resumed, Some(&campaign)), "a corrupt entry must be recomputed");
+    assert!(
+        std::fs::read(&straight).unwrap() == std::fs::read(&resumed).unwrap(),
+        "resumed artifact differs from the straight run"
+    );
+    let quarantine = campaign.join("quarantine");
+    let name = victim.file_name().unwrap();
+    assert_eq!(std::fs::read(quarantine.join(name)).unwrap(), bytes, "frame not quarantined");
+    assert!(quarantine.join(Path::new(name).with_extension("reason")).exists());
+    assert!(victim.exists(), "the recomputed cell is committed again");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A resume directory filled by a sampled-tier sweep serves nothing to a
+/// detailed sweep: the detailed artifact equals a straight detailed run.
+#[test]
+fn sampled_fill_does_not_leak_into_a_detailed_resume() {
+    let bin = env!("CARGO_BIN_EXE_bench_snapshot");
+    let base = temp_dir("tier");
+    let straight = base.join("straight.json");
+    let resumed = base.join("resumed.json");
+    let campaign = base.join("campaign");
+    let detailed = ["--smoke", "--jobs", "2"];
+    assert!(run(bin, &detailed, &straight, None), "reference run failed");
+    let sampled = ["--smoke", "--jobs", "2", "--tier", "sampled"];
+    assert!(run(bin, &sampled, &base.join("sampled.json"), Some(&campaign)), "fill failed");
+
+    assert!(run(bin, &detailed, &resumed, Some(&campaign)), "resumed run failed");
+    assert!(
+        std::fs::read(&straight).unwrap() == std::fs::read(&resumed).unwrap(),
+        "a detailed resume served sampled-tier cells"
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A resume directory filled by a plain fuzz campaign serves nothing to an
+/// escape-mode campaign: exit code and artifact match a straight escape run.
+#[test]
+fn plain_fuzz_fill_does_not_leak_into_an_escape_resume() {
+    let bin = env!("CARGO_BIN_EXE_fuzz_programs");
+    let base = temp_dir("escape");
+    let straight = base.join("straight.json");
+    let resumed = base.join("resumed.json");
+    let campaign = base.join("campaign");
+    let escape = ["--seeds", "2", "--jobs", "2", "--escape", "silent-wrong"];
+    let straight_ok = run(bin, &escape, &straight, None);
+    assert!(run(bin, &["--seeds", "2", "--jobs", "2"], &base.join("plain.json"), Some(&campaign)));
+
+    let resumed_ok = run(bin, &escape, &resumed, Some(&campaign));
+    assert_eq!(resumed_ok, straight_ok, "exit status differs from the straight escape run");
+    assert!(
+        std::fs::read(&straight).unwrap() == std::fs::read(&resumed).unwrap(),
+        "an escape resume served plain-campaign seeds"
+    );
     std::fs::remove_dir_all(&base).ok();
 }

@@ -1,11 +1,11 @@
 //! A tiny self-describing byte codec for machine state snapshots.
 //!
 //! The crash-safety layer (`fac-sim`'s checkpoint files, `fac-bench`'s
-//! campaign manifests) needs to persist simulator state without pulling in
-//! an external serialization crate. This module is the shared primitive:
-//! a length-checked little-endian writer/reader pair plus the FNV-1a hash
-//! used both as an integrity checksum over snapshot payloads and as the
-//! result digest recorded in campaign manifests.
+//! result store) needs to persist simulator state without pulling in an
+//! external serialization crate. This module is the shared primitive: a
+//! length-checked little-endian writer/reader pair plus the FNV-1a hash
+//! used both as an integrity checksum over snapshot and store payloads and
+//! to derive the store's content addresses.
 //!
 //! Every `read_*` call is bounds-checked: a truncated or corrupted buffer
 //! surfaces as a typed [`SnapError`] naming what was being decoded, never
