@@ -127,6 +127,14 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// Every dimension is a power of two, so an address splits into bit
+    /// fields — `tag | set index | block offset` — as in the paper's §3:
+    /// the set index is `(addr >> block_shift) & set_mask`, the tag is
+    /// `addr >> tag_shift`, and a set's lines start at `set << ways_shift`.
+    block_shift: u32,
+    set_mask: u32,
+    tag_shift: u32,
+    ways_shift: u32,
     lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
@@ -141,7 +149,17 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Cache {
         config.validate();
         let lines = vec![Line::default(); (config.sets() * config.ways) as usize];
-        Cache { config, lines, stats: CacheStats::default(), tick: 0 }
+        let block_shift = config.block_bytes.trailing_zeros();
+        Cache {
+            block_shift,
+            set_mask: config.sets() - 1,
+            tag_shift: block_shift + config.sets().trailing_zeros(),
+            ways_shift: config.ways.trailing_zeros(),
+            config,
+            lines,
+            stats: CacheStats::default(),
+            tick: 0,
+        }
     }
 
     /// The configuration this cache was built with.
@@ -211,17 +229,23 @@ impl Cache {
         Ok(())
     }
 
+    /// The block number of `addr`: the address without its block offset.
+    #[inline]
+    pub fn block(&self, addr: u32) -> u32 {
+        addr >> self.block_shift
+    }
+
     fn set_index(&self, addr: u32) -> u32 {
-        (addr / self.config.block_bytes) & (self.config.sets() - 1)
+        self.block(addr) & self.set_mask
     }
 
     fn tag(&self, addr: u32) -> u32 {
-        addr / self.config.block_bytes / self.config.sets()
+        addr >> self.tag_shift
     }
 
     fn set_range(&self, set: u32) -> std::ops::Range<usize> {
-        let start = (set * self.config.ways) as usize;
-        start..start + self.config.ways as usize
+        let start = (set << self.ways_shift) as usize;
+        start..start + (1 << self.ways_shift)
     }
 
     /// Checks residency without updating state or statistics.

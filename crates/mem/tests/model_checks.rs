@@ -2,24 +2,38 @@
 //! implementation, the memory against a `HashMap` of bytes, and the store
 //! buffer against a plain FIFO.
 
-use fac_mem::{Cache, CacheConfig, Memory, StoreBuffer};
+use fac_mem::{Cache, CacheConfig, CacheStats, Memory, StoreBuffer};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// A deliberately naive LRU cache: a vector of (set, tag, dirty) with
-/// timestamps, no cleverness. The real cache must agree exactly.
+/// timestamps, no cleverness. It splits addresses by division and
+/// remainder, so it also checks the real cache's shift-and-mask indexing.
+/// The real cache must agree exactly.
 struct RefCache {
     cfg: CacheConfig,
     lines: Vec<(u32, u32, bool, u64)>, // (set, tag, dirty, stamp)
     tick: u64,
+    stats: CacheStats,
 }
 
 impl RefCache {
     fn new(cfg: CacheConfig) -> RefCache {
-        RefCache { cfg, lines: Vec::new(), tick: 0 }
+        RefCache { cfg, lines: Vec::new(), tick: 0, stats: CacheStats::default() }
     }
 
     fn access(&mut self, addr: u32, write: bool) -> (bool, bool) {
+        let (hit, writeback) = self.lookup(addr, write);
+        self.stats.accesses += 1;
+        self.stats.reads += u64::from(!write);
+        self.stats.writes += u64::from(write);
+        self.stats.misses += u64::from(!hit);
+        self.stats.read_misses += u64::from(!hit && !write);
+        self.stats.writebacks += u64::from(writeback);
+        (hit, writeback)
+    }
+
+    fn lookup(&mut self, addr: u32, write: bool) -> (bool, bool) {
         self.tick += 1;
         let block = addr / self.cfg.block_bytes;
         let set = block % self.cfg.sets();
@@ -66,8 +80,47 @@ fn arb_config() -> impl Strategy<Value = CacheConfig> {
     )
 }
 
+/// Random power-of-two geometries — 1 to 8 ways, 16/32/64-byte blocks, 1
+/// to 64 sets — plus the associativity ablation's 16 KB, 32-byte-block
+/// shapes at 1, 2 and 4 ways.
+fn arb_geometry() -> impl Strategy<Value = CacheConfig> {
+    prop_oneof![
+        (0u32..=3, 4u32..=6, 0u32..=6, any::<bool>(), any::<bool>()).prop_map(
+            |(ways_log, block_log, sets_log, write_back, write_allocate)| CacheConfig {
+                size_bytes: 1 << (ways_log + block_log + sets_log),
+                block_bytes: 1 << block_log,
+                ways: 1 << ways_log,
+                write_back,
+                write_allocate,
+            },
+        ),
+        (0u32..=2).prop_map(|ways_log| CacheConfig::set_associative(16 * 1024, 32, 1 << ways_log)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The shift-and-mask indexed cache agrees with the division-based
+    /// reference on every access (hit and writeback) and in its final
+    /// statistics. Addresses fall within four times the capacity, so sets
+    /// conflict, and carry random high bits, so every tag bit is exercised.
+    #[test]
+    fn shift_indexing_matches_division_reference(
+        cfg in arb_geometry(),
+        trace in proptest::collection::vec((0u32..4, any::<u32>(), any::<bool>()), 1..400),
+    ) {
+        let mut real = Cache::new(cfg);
+        let mut reference = RefCache::new(cfg);
+        for (i, &(high, low, write)) in trace.iter().enumerate() {
+            let addr = (high << 30) | (low % (4 * cfg.size_bytes));
+            let r = real.access(addr, write);
+            let (hit, wb) = reference.access(addr, write);
+            prop_assert_eq!(r.hit, hit, "access {}: addr {:#x} write {}", i, addr, write);
+            prop_assert_eq!(r.writeback, wb, "access {}: writeback mismatch", i);
+        }
+        prop_assert_eq!(*real.stats(), reference.stats);
+    }
 
     /// The production cache agrees with the naive reference on every
     /// access of a random trace, for every geometry and write policy.

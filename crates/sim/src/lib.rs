@@ -58,7 +58,7 @@ pub use config::{
 pub use exec::{dst_regs, src_regs, ArchState, ExecError, Executed, MemRef, RegList};
 pub use machine::{Machine, Session, SimError, SimReport};
 pub use oracle::{GoldenMem, GoldenStep, GoldenStore, Lockstep, Oracle};
-pub use pipeline::{IssueInfo, Pipeline};
+pub use pipeline::{FuClass, FuKind, IssueInfo, Pipeline, StaticInsn};
 pub use profiler::{profile_predictions, ProfileReport};
 pub use trace::{chrome_trace, render_diagram, TracedInsn};
 pub use stats::{OffsetHistogram, PredCounters, RefClass, SimStats};

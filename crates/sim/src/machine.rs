@@ -4,7 +4,7 @@ use crate::checker::{InvariantChecker, InvariantViolation};
 use crate::config::{ConfigError, MachineConfig};
 use crate::exec::{ArchState, ExecError};
 use crate::obs::{NullObserver, Observer};
-use crate::pipeline::Pipeline;
+use crate::pipeline::{DecodeTable, Pipeline};
 use crate::stats::{RefClass, SimStats};
 use fac_asm::Program;
 
@@ -341,6 +341,7 @@ impl Machine {
             config: self.config,
             max_insts: self.max_insts,
             program,
+            decoded: DecodeTable::new(program, &self.config),
             state,
             pipe: Pipeline::new(self.config),
             stats: SimStats::default(),
@@ -444,6 +445,7 @@ impl Machine {
             config: self.config,
             max_insts: self.max_insts,
             program,
+            decoded: DecodeTable::new(program, &self.config),
             state,
             pipe,
             stats,
@@ -465,6 +467,7 @@ impl Machine {
         self.config.validate()?;
         let mut state = ArchState::new(program);
         state.strict_mem = self.config.strict_mem;
+        let decoded = DecodeTable::new(program, &self.config);
         let mut pipe = Pipeline::new(self.config);
         let mut stats = SimStats::default();
         let mut checker = self.checker();
@@ -475,7 +478,7 @@ impl Machine {
             let ex = state.step(program)?;
             stats.insts += 1;
             record_ref(&mut stats, &ex);
-            let timing = pipe.advance_traced(&ex, &mut stats);
+            let timing = pipe.advance_obs(&ex, decoded.get(ex.pc), &mut stats, &mut NullObserver);
             if let Some(chk) = &mut checker {
                 chk.check_insn(&ex, &timing)?;
             }
@@ -531,6 +534,9 @@ pub struct Session<'p> {
     config: MachineConfig,
     max_insts: u64,
     program: &'p Program,
+    /// `program` decoded under `config`; rebuilt on restore, never
+    /// checkpointed.
+    decoded: DecodeTable,
     state: ArchState,
     pipe: Pipeline,
     stats: SimStats,
@@ -571,11 +577,12 @@ impl<'p> Session<'p> {
         let ex = self.state.step(self.program)?;
         self.stats.insts += 1;
         record_ref(&mut self.stats, &ex);
+        let si = self.decoded.get(ex.pc);
         if let Some(chk) = &mut self.checker {
-            let info = self.pipe.advance_obs(&ex, &mut self.stats, obs);
+            let info = self.pipe.advance_obs(&ex, si, &mut self.stats, obs);
             chk.check_insn(&ex, &info)?;
         } else {
-            self.pipe.advance_obs(&ex, &mut self.stats, obs);
+            self.pipe.advance_obs(&ex, si, &mut self.stats, obs);
         }
         Ok(true)
     }

@@ -25,7 +25,7 @@ use crate::config::MachineConfig;
 use crate::exec::{ArchState, ExecError};
 use crate::machine::{check_budget, record_ref, SimError, SimReport};
 use crate::obs::{NullObserver, Observer};
-use crate::pipeline::Pipeline;
+use crate::pipeline::{DecodeTable, Pipeline};
 use crate::stats::SimStats;
 use fac_asm::Program;
 use fac_core::{AddrFields, FaultPlan, FaultyPredictor, Predictor};
@@ -684,6 +684,7 @@ impl Lockstep {
         self.config.validate()?;
         let mut state = ArchState::new(program);
         state.strict_mem = self.config.strict_mem;
+        let decoded = DecodeTable::new(program, &self.config);
         let mut pipe = Pipeline::new(self.config);
         let mut stats = SimStats::default();
         let mut oracle = Oracle::new(program);
@@ -708,7 +709,7 @@ impl Lockstep {
             stats.insts += 1;
             record_ref(&mut stats, &ex);
             compare_step(step, &state, &ex, &oracle, &gold)?;
-            pipe.advance_obs(&ex, &mut stats, obs);
+            pipe.advance_obs(&ex, decoded.get(ex.pc), &mut stats, obs);
         }
 
         if !oracle.halted {

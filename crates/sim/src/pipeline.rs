@@ -14,11 +14,13 @@
 //! load).
 
 use crate::btb::Btb;
-use crate::config::{FuTiming, LoadLatencyMode, MachineConfig, PipelineOrg};
-use crate::exec::{dst_regs, src_regs, Executed, MemRef, SB_REGS};
+use crate::config::{FuConfig, FuTiming, LoadLatencyMode, MachineConfig, PipelineOrg};
+use crate::exec::{dst_regs, src_regs, Executed, MemRef, RegList, SB_REGS};
 use crate::obs::{CacheKind, Event, NullObserver, Observer, StallKind};
 use crate::stats::{RefClass, SimStats};
+use fac_asm::Program;
 use fac_core::{AddrFields, AnyPredictor, Ltb, Predictor};
+use fac_isa::Insn;
 use fac_mem::{Cache, Tlb};
 use std::collections::VecDeque;
 
@@ -88,40 +90,124 @@ impl Pool {
     }
 }
 
+/// The functional-unit pool an instruction issues to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FuClass {
+pub enum FuClass {
+    /// `nop` and `halt`: no unit, no structural hazard.
     None,
+    /// Integer ALU (branches and jumps execute here too).
     IntAlu,
+    /// Load/store unit; the result latency comes from the memory path.
     LoadStore,
+    /// FP add/sub/compare/convert.
     FpAdd,
+    /// Shared integer multiply/divide unit.
     IntMul(FuKind),
+    /// Shared FP multiply/divide/square-root unit.
     FpMul(FuKind),
 }
 
+/// Which operation a shared multiply/divide unit performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FuKind {
+pub enum FuKind {
+    /// Multiply.
     Mul,
+    /// Divide (and FP square root).
     Div,
 }
 
-fn classify_fu(insn: &fac_isa::Insn) -> FuClass {
-    use fac_isa::{FpOp, Insn, MulDivOp};
-    match insn {
-        Insn::Nop | Insn::Halt => FuClass::None,
-        Insn::Load { .. } | Insn::Store { .. } | Insn::LoadFp { .. } | Insn::StoreFp { .. } => {
-            FuClass::LoadStore
+impl FuClass {
+    fn of(insn: &Insn) -> FuClass {
+        use fac_isa::{FpOp, MulDivOp};
+        match insn {
+            Insn::Nop | Insn::Halt => FuClass::None,
+            Insn::Load { .. } | Insn::Store { .. } | Insn::LoadFp { .. } | Insn::StoreFp { .. } => {
+                FuClass::LoadStore
+            }
+            Insn::MulDiv { op, .. } => match op {
+                MulDivOp::Mult | MulDivOp::Multu => FuClass::IntMul(FuKind::Mul),
+                MulDivOp::Div | MulDivOp::Divu => FuClass::IntMul(FuKind::Div),
+            },
+            Insn::Fp { op, .. } => match op {
+                FpOp::Mul => FuClass::FpMul(FuKind::Mul),
+                FpOp::Div | FpOp::Sqrt => FuClass::FpMul(FuKind::Div),
+                _ => FuClass::FpAdd,
+            },
+            Insn::FpCmp { .. } | Insn::CvtFromW { .. } | Insn::TruncToW { .. } => FuClass::FpAdd,
+            _ => FuClass::IntAlu,
         }
-        Insn::MulDiv { op, .. } => match op {
-            MulDivOp::Mult | MulDivOp::Multu => FuClass::IntMul(FuKind::Mul),
-            MulDivOp::Div | MulDivOp::Divu => FuClass::IntMul(FuKind::Div),
-        },
-        Insn::Fp { op, .. } => match op {
-            FpOp::Mul => FuClass::FpMul(FuKind::Mul),
-            FpOp::Div | FpOp::Sqrt => FuClass::FpMul(FuKind::Div),
-            _ => FuClass::FpAdd,
-        },
-        Insn::FpCmp { .. } | Insn::CvtFromW { .. } | Insn::TruncToW { .. } => FuClass::FpAdd,
-        _ => FuClass::IntAlu,
+    }
+
+    fn timing(self, fu: &FuConfig) -> FuTiming {
+        match self {
+            FuClass::None => FuTiming { latency: 1, interval: 1 },
+            FuClass::IntAlu => fu.int_alu,
+            FuClass::LoadStore => FuTiming { latency: 1, interval: 1 }, // handled by mem path
+            FuClass::FpAdd => fu.fp_add,
+            FuClass::IntMul(FuKind::Mul) => fu.int_mul,
+            FuClass::IntMul(FuKind::Div) => fu.int_div,
+            FuClass::FpMul(FuKind::Mul) => fu.fp_mul,
+            FuClass::FpMul(FuKind::Div) => fu.fp_div,
+        }
+    }
+}
+
+/// Everything the timing model needs to know about an instruction that
+/// does not depend on its dynamic execution: scoreboard operands, unit
+/// class and timing, and whether it redirects control. A program has a few
+/// hundred static instructions but retires millions of dynamic ones, so a
+/// simulation decodes each `program.text` slot once into a decode table
+/// and the pipeline reads the slot instead of re-deriving it per retire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StaticInsn {
+    /// Source scoreboard registers ([`src_regs`]).
+    pub srcs: RegList,
+    /// Destination scoreboard registers ([`dst_regs`]).
+    pub dsts: RegList,
+    /// The functional-unit class.
+    pub class: FuClass,
+    /// That class's timing under the machine's [`FuConfig`].
+    pub timing: FuTiming,
+    /// A branch or jump ([`Insn::is_control`]).
+    pub control: bool,
+}
+
+impl StaticInsn {
+    /// Decodes `insn` for a machine whose functional units are `fu`.
+    pub fn decode(insn: &Insn, fu: &FuConfig) -> StaticInsn {
+        let class = FuClass::of(insn);
+        StaticInsn {
+            srcs: src_regs(insn),
+            dsts: dst_regs(insn),
+            class,
+            timing: class.timing(fu),
+            control: insn.is_control(),
+        }
+    }
+}
+
+/// One [`StaticInsn`] per `program.text` slot, built when a simulation
+/// starts (or resumes from a checkpoint). It is derived from the program
+/// and configuration alone, so it is rebuilt rather than checkpointed.
+#[derive(Debug, Clone)]
+pub(crate) struct DecodeTable {
+    text_base: u32,
+    slots: Vec<StaticInsn>,
+}
+
+impl DecodeTable {
+    pub(crate) fn new(program: &Program, cfg: &MachineConfig) -> DecodeTable {
+        DecodeTable {
+            text_base: program.text_base,
+            slots: program.text.iter().map(|i| StaticInsn::decode(i, &cfg.fu)).collect(),
+        }
+    }
+
+    /// The slot of `pc`, which must be an instruction
+    /// [`crate::ArchState::step`] just executed (so it lies in the text
+    /// segment and is word-aligned).
+    pub(crate) fn get(&self, pc: u32) -> &StaticInsn {
+        &self.slots[(pc.wrapping_sub(self.text_base) >> 2) as usize]
     }
 }
 
@@ -239,19 +325,6 @@ impl Pipeline {
         }
     }
 
-    fn fu_timing(&self, class: FuClass) -> FuTiming {
-        match class {
-            FuClass::None => FuTiming { latency: 1, interval: 1 },
-            FuClass::IntAlu => self.cfg.fu.int_alu,
-            FuClass::LoadStore => FuTiming { latency: 1, interval: 1 }, // handled by mem path
-            FuClass::FpAdd => self.cfg.fu.fp_add,
-            FuClass::IntMul(FuKind::Mul) => self.cfg.fu.int_mul,
-            FuClass::IntMul(FuKind::Div) => self.cfg.fu.int_div,
-            FuClass::FpMul(FuKind::Mul) => self.cfg.fu.fp_mul,
-            FuClass::FpMul(FuKind::Div) => self.cfg.fu.fp_div,
-        }
-    }
-
     fn pool(&mut self, class: FuClass) -> Option<&mut Pool> {
         match class {
             FuClass::None => None,
@@ -270,7 +343,7 @@ impl Pipeline {
     /// boundary; each block the group touches costs an I-cache access, and
     /// a miss on either delays the group.
     fn fetch_cycle<O: Observer>(&mut self, pc: u32, stats: &mut SimStats, obs: &mut O) -> u64 {
-        let block = pc / self.cfg.icache.block_bytes;
+        let block = self.icache.block(pc);
         if self.group_left == 0 {
             // New fetch group: bounded run-ahead of the issue stage (small
             // fetch buffer), plus the I-cache access for the group.
@@ -324,7 +397,7 @@ impl Pipeline {
         if self.cfg.perfect_dcache {
             return 0;
         }
-        let block = addr / self.cfg.dcache.block_bytes;
+        let block = self.dcache.block(addr);
         // Merge with an in-flight fill of the same block.
         if let Some(&(done, _)) = self.mshrs.iter().find(|&&(done, b)| b == block && done > access)
         {
@@ -729,27 +802,35 @@ impl Pipeline {
     /// Advances the pipeline by one committed instruction; returns the
     /// cycle at which it issued.
     pub fn advance(&mut self, ex: &Executed, stats: &mut SimStats) -> u64 {
-        self.advance_obs(ex, stats, &mut NullObserver).issue
+        self.advance_traced(ex, stats).issue
     }
 
     /// Like [`Pipeline::advance`] but returns the full per-instruction
-    /// timing — used by the tracing facilities ([`crate::Machine::run_traced`]).
+    /// timing. Decodes `ex.insn` on every call; a whole-program simulation
+    /// decodes each static instruction once instead and calls
+    /// [`Pipeline::advance_obs`].
     pub fn advance_traced(&mut self, ex: &Executed, stats: &mut SimStats) -> IssueInfo {
-        self.advance_obs(ex, stats, &mut NullObserver)
+        let si = StaticInsn::decode(&ex.insn, &self.cfg.fu);
+        self.advance_obs(ex, &si, stats, &mut NullObserver)
     }
 
-    /// Like [`Pipeline::advance_traced`] but also emits cycle-stamped
-    /// [`Event`]s into `obs`. With [`NullObserver`] every emission site
-    /// monomorphizes away, so the plain entry points cost nothing.
+    /// The one timing path: [`Pipeline::advance_traced`] with `ex.insn`
+    /// already decoded into `si` (which must equal
+    /// [`StaticInsn::decode`] of it under this pipeline's configuration),
+    /// also emitting cycle-stamped [`Event`]s into `obs`. With
+    /// [`NullObserver`] every emission site monomorphizes away, so the
+    /// plain entry points cost nothing.
     pub fn advance_obs<O: Observer>(
         &mut self,
         ex: &Executed,
+        si: &StaticInsn,
         stats: &mut SimStats,
         obs: &mut O,
     ) -> IssueInfo {
+        debug_assert_eq!(*si, StaticInsn::decode(&ex.insn, &self.cfg.fu), "stale decode slot");
         let fetch = self.fetch_cycle(ex.pc, stats, obs);
-        let class = classify_fu(&ex.insn);
-        let timing = self.fu_timing(class);
+        let class = si.class;
+        let timing = si.timing;
 
         // Earliest issue: in-order, after decode, operands ready. Under
         // the AGI organization, non-memory non-control operations execute
@@ -760,10 +841,10 @@ impl Pipeline {
         // are still needed at issue, in the address-generation stage).
         let agi_late = self.cfg.pipeline_org == PipelineOrg::Agi
             && ex.mem.is_none()
-            && !ex.insn.is_control()
+            && !si.control
             && class != FuClass::None;
         let mut c = self.last_issue.max(fetch + 2);
-        for src in src_regs(&ex.insn).iter() {
+        for src in si.srcs.iter() {
             let ready = self.reg_ready[src as usize];
             c = c.max(if agi_late { ready.saturating_sub(1) } else { ready });
         }
@@ -840,24 +921,23 @@ impl Pipeline {
 
         // Scoreboard updates. For post-increment accesses the base-register
         // update is an ALU-side result, ready a cycle after issue.
-        let dsts = dst_regs(&ex.insn);
         if let Some(mref) = &ex.mem {
             let mut first = true;
             let has_data_dst = !mref.is_store;
-            for d in dsts.iter() {
+            for d in si.dsts.iter() {
                 let ready = if has_data_dst && first { c + latency } else { c + 1 };
                 self.reg_ready[d as usize] = self.reg_ready[d as usize].max(ready);
                 first = false;
             }
         } else {
-            for d in dsts.iter() {
+            for d in si.dsts.iter() {
                 self.reg_ready[d as usize] = self.reg_ready[d as usize].max(c + latency);
             }
         }
         self.max_complete = self.max_complete.max(c + latency);
 
         // Control flow: BTB prediction and redirect costs.
-        if ex.insn.is_control() {
+        if si.control {
             stats.branches += 1;
             let actual_taken = ex.taken.is_some();
             let target = ex.taken.unwrap_or(ex.pc.wrapping_add(4));

@@ -114,3 +114,58 @@ fn fac_never_hurts_with_software_support() {
         );
     }
 }
+
+/// The per-program decode table is a pure cache of the per-instruction
+/// decoders: a session (which reads each instruction's timing facts from
+/// the table) and a hand-driven loop over the public
+/// `Pipeline::advance_traced` (which decodes every dynamic instruction)
+/// must time every instruction identically and end with identical
+/// statistics, on every kernel and pipeline organization.
+#[test]
+fn decode_table_matches_per_instruction_decode() {
+    use fac::sim::{ArchState, Pipeline, RefClass, SimStats};
+    let configs = [
+        MachineConfig::paper_baseline(),
+        MachineConfig::paper_baseline().with_fac(),
+        MachineConfig::paper_baseline().with_agi_pipeline(),
+        MachineConfig::paper_baseline().with_ltb(512),
+    ];
+    for wl in suite() {
+        let p = wl.build(&SoftwareSupport::on(), Scale::Smoke);
+        for cfg in configs {
+            let mut state = ArchState::new(&p);
+            let mut pipe = Pipeline::new(cfg);
+            let mut stats = SimStats::default();
+            let mut timings = Vec::new();
+            while !state.halted {
+                let ex = state.step(&p).unwrap();
+                stats.insts += 1;
+                if let Some(m) = &ex.mem {
+                    let class = RefClass::of(m.base_reg).index();
+                    if m.is_store {
+                        stats.stores += 1;
+                        stats.stores_by_class[class] += 1;
+                    } else {
+                        stats.loads += 1;
+                        stats.loads_by_class[class] += 1;
+                        stats.loads_reg_reg += u64::from(m.is_reg_reg());
+                        stats.load_offsets[class].record(m.offset_value());
+                    }
+                }
+                timings.push(pipe.advance_traced(&ex, &mut stats));
+            }
+            stats.cycles = pipe.finish(&mut stats);
+            stats.mem_footprint = state.mem.footprint();
+
+            let (traced, trace) = machine(cfg).run_traced(&p).unwrap();
+            let session = machine(cfg).run(&p).unwrap();
+            assert!(
+                trace.iter().map(|t| t.timing).eq(timings.iter().copied()),
+                "{} {cfg:?}: issue timings differ",
+                wl.name
+            );
+            assert_eq!(traced.stats, stats, "{}: run_traced stats", wl.name);
+            assert_eq!(session.stats, stats, "{}: session stats", wl.name);
+        }
+    }
+}
