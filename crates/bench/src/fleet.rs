@@ -10,7 +10,10 @@
 //! - **Route**: cell requests are routed by rendezvous (highest random
 //!   weight) hashing over the cell identity digest — stable under
 //!   worker death, no ring to rebalance — with automatic inline
-//!   failover to the next-ranked live worker.
+//!   failover to the next-ranked live worker. Each client connection
+//!   keeps one link per worker and dials only when it has none; a kept
+//!   link that went stale gets one redial, and one whose exchange
+//!   failed or timed out is dropped, never reused.
 //! - **Heartbeat**: every `heartbeat_ms` the supervisor pings each
 //!   worker over the campaign protocol; `miss_budget` consecutive
 //!   misses gets the worker killed and restarted.
@@ -202,6 +205,28 @@ struct Worker {
 }
 
 impl Worker {
+    /// Worker `index` of the fleet `opts` describes, not yet spawned.
+    fn new(opts: &FleetOptions, index: usize) -> Worker {
+        Worker {
+            index,
+            endpoint: Endpoint::Unix(opts.run_dir.join(format!("worker-{index}.sock"))),
+            log_path: opts.run_dir.join(format!("worker-{index}.log")),
+            child: None,
+            pid: 0,
+            state: WorkerState::Starting,
+            started_at: Instant::now(),
+            restart_at: Instant::now(),
+            restarts: 0,
+            recent_restarts: Vec::new(),
+            backoff: Backoff::new(
+                opts.seed ^ index as u64,
+                opts.backoff_base_ms,
+                opts.backoff_cap_ms,
+            ),
+            forwarded: 0,
+        }
+    }
+
     /// A rendering suitable for errors and logs:
     /// `"worker-2 (unix:/run/fleet/worker-2.sock)"`.
     fn label(&self) -> String {
@@ -315,24 +340,7 @@ impl Fleet {
 
         let mut workers = Vec::with_capacity(opts.workers);
         for index in 0..opts.workers {
-            let mut worker = Worker {
-                index,
-                endpoint: Endpoint::Unix(opts.run_dir.join(format!("worker-{index}.sock"))),
-                log_path: opts.run_dir.join(format!("worker-{index}.log")),
-                child: None,
-                pid: 0,
-                state: WorkerState::Starting,
-                started_at: Instant::now(),
-                restart_at: Instant::now(),
-                restarts: 0,
-                recent_restarts: Vec::new(),
-                backoff: Backoff::new(
-                    opts.seed ^ index as u64,
-                    opts.backoff_base_ms,
-                    opts.backoff_cap_ms,
-                ),
-                forwarded: 0,
-            };
+            let mut worker = Worker::new(&opts, index);
             if let Err(e) = spawn_worker(&opts, &mut worker) {
                 kill_workers(&mut workers);
                 return Err(e);
@@ -537,10 +545,16 @@ fn route_order(key: u64, total: usize) -> Vec<usize> {
 }
 
 /// Routes a cell line through the fleet: rendezvous order, skipping
-/// unroutable workers, failing over on transport faults. Returns the raw
-/// response line to relay (transparent proxying: the client sees exactly
-/// the bytes the worker produced).
-fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
+/// unroutable workers, failing over on transport faults. `links` holds
+/// the client connection's kept link to each worker (see [`forward`]).
+/// Returns the raw response line to relay (transparent proxying: the
+/// client sees exactly the bytes the worker produced).
+fn route_cell(
+    shared: &Arc<Shared>,
+    links: &mut [Option<Client>],
+    req: &Request,
+    line: &str,
+) -> String {
     let Request::Cell(cell) = req else { unreachable!("route_cell takes cells") };
     let key = route_key(&cell.workload, cell.sw, cell.scale, &cell.config);
     let deadline = Duration::from_secs(shared.opts.request_timeout_secs);
@@ -552,6 +566,7 @@ fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
             let workers = lock(&shared.workers);
             let w = &workers[index];
             if !w.state.routable() {
+                links[index] = None;
                 continue;
             }
             w.endpoint.clone()
@@ -563,7 +578,7 @@ fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
             // for; the store makes it a hit if the first try committed.
             shared.bump(&shared.counters.failovers);
         }
-        match Client::connect(&endpoint, deadline).and_then(|mut c| c.rpc_line(line)) {
+        match forward(&endpoint, deadline, &mut links[index], line) {
             Ok(resp) => {
                 let mut workers = lock(&shared.workers);
                 workers[index].forwarded += 1;
@@ -586,11 +601,42 @@ fn route_cell(shared: &Arc<Shared>, req: &Request, line: &str) -> String {
     })
 }
 
+/// One forward to a worker over the kept link in `slot`, dialing only
+/// when the slot is empty. A kept link that breaks on a transport error
+/// (the worker restarted, or its idle timeout closed the link) gets one
+/// fresh dial; a timeout does not, so a slow cell never waits out two
+/// deadlines. A link goes back to its slot only after a complete
+/// exchange: one that failed or timed out may still carry a late answer,
+/// which must never be relayed as the response to the next cell.
+fn forward(
+    endpoint: &Endpoint,
+    deadline: Duration,
+    slot: &mut Option<Client>,
+    line: &str,
+) -> Result<String, SimError> {
+    if let Some(mut client) = slot.take() {
+        match client.rpc_line(line) {
+            Ok(resp) => {
+                *slot = Some(client);
+                return Ok(resp);
+            }
+            Err(e @ SimError::Timeout { .. }) => return Err(e),
+            Err(_) => {} // stale link: redial below
+        }
+    }
+    let mut client = Client::connect(endpoint, deadline)?;
+    let resp = client.rpc_line(line)?;
+    *slot = Some(client);
+    Ok(resp)
+}
+
 // ---------------------------------------------------------------------------
 // Client connections
 // ---------------------------------------------------------------------------
 
-/// Serves one client connection: parse, route, relay.
+/// Serves one client connection: parse, route, relay. The connection
+/// keeps one link per worker for its whole life, so a sweep's cells pay
+/// no dial, no worker accept and no worker thread spawn each.
 fn handle_client(shared: &Arc<Shared>, mut conn: Conn) {
     if conn.set_read_timeout(Some(POLL)).is_err() {
         return;
@@ -599,6 +645,8 @@ fn handle_client(shared: &Arc<Shared>, mut conn: Conn) {
     let mut pending = Vec::new();
     let idle_deadline = Duration::from_secs(300);
     let mut last_activity = Instant::now();
+    let mut links: Vec<Option<Client>> =
+        (0..lock(&shared.workers).len()).map(|_| None).collect();
     loop {
         if shared.shutdown.is_set() {
             return;
@@ -615,7 +663,7 @@ fn handle_client(shared: &Arc<Shared>, mut conn: Conn) {
                     Ok(Request::FleetStats) => {
                         render_response(&Response::Fleet(fleet_stats(shared)))
                     }
-                    Ok(req @ Request::Cell(_)) => route_cell(shared, &req, &line),
+                    Ok(req @ Request::Cell(_)) => route_cell(shared, &mut links, &req, &line),
                     Err(e) => render_response(&Response::Error {
                         kind: ErrorKind::BadRequest,
                         message: e.to_string(),
@@ -864,6 +912,130 @@ fn drain_workers(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::client::cell_request;
+    use crate::serve::proto::render_request;
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixListener;
+
+    fn shared_with(opts: FleetOptions, workers: Vec<Worker>) -> Arc<Shared> {
+        Arc::new(Shared {
+            opts,
+            workers: Mutex::new(workers),
+            counters: FleetCounters::default(),
+            started: Instant::now(),
+            shutdown: Shutdown::new(),
+        })
+    }
+
+    /// A one-worker fleet whose worker is a stand-in: a Unix listener on
+    /// the worker's socket that counts accepts and, on its `c`th
+    /// connection, answers the `n`th request line with `script(c, n)`.
+    /// `None` closes that connection unanswered. Returns the fleet and
+    /// the accept count.
+    fn stand_in_fleet(
+        tag: &str,
+        timeout_secs: u64,
+        script: fn(u64, u64) -> Option<String>,
+    ) -> (Arc<Shared>, Arc<AtomicU64>) {
+        let dir = std::env::temp_dir().join(format!("fac_links_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut opts = FleetOptions::new("campaign_server", dir.join("store"), &dir);
+        opts.request_timeout_secs = timeout_secs;
+        let mut worker = Worker::new(&opts, 0);
+        worker.state = WorkerState::Up;
+        let Endpoint::Unix(path) = &worker.endpoint else { unreachable!() };
+        let listener = UnixListener::bind(path).unwrap();
+        let accepts = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&accepts);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let conn = counted.fetch_add(1, Ordering::SeqCst) + 1;
+                let mut writer = stream.unwrap();
+                let reader = BufReader::new(writer.try_clone().unwrap());
+                std::thread::spawn(move || {
+                    for (n, line) in reader.lines().enumerate() {
+                        line.unwrap();
+                        let Some(answer) = script(conn, n as u64 + 1) else { return };
+                        if writer.write_all(format!("{answer}\n").as_bytes()).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        (shared_with(opts, vec![worker]), accepts)
+    }
+
+    /// The stand-in's usual answer: which connection and which line.
+    fn echo(conn: u64, line: u64) -> Option<String> {
+        Some(format!("answer {conn}.{line}"))
+    }
+
+    /// Routes one `__sleep:0` cell over `links`.
+    fn route(shared: &Arc<Shared>, links: &mut [Option<Client>]) -> String {
+        let req = Request::Cell(cell_request("__sleep:0", "fac", fac_workloads::Scale::Smoke));
+        route_cell(shared, links, &req, &render_request(&req))
+    }
+
+    fn count(c: &AtomicU64) -> u64 {
+        c.load(Ordering::SeqCst)
+    }
+
+    /// A client connection's cells share one kept link: ten cells, one
+    /// accept, ten forwards.
+    #[test]
+    fn cells_on_one_connection_share_one_worker_link() {
+        let (shared, accepts) = stand_in_fleet("reuse", 30, echo);
+        let mut links = vec![None];
+        for n in 1..=10 {
+            assert_eq!(route(&shared, &mut links), format!("answer 1.{n}"));
+        }
+        assert_eq!(count(&accepts), 1);
+        assert_eq!(count(&shared.counters.forwarded), 10);
+        assert_eq!(lock(&shared.workers)[0].forwarded, 10);
+        std::fs::remove_dir_all(&shared.opts.run_dir).ok();
+    }
+
+    /// A kept link the worker closed gets one fresh dial to the same
+    /// worker; the cell is answered and nothing counts as a failover.
+    #[test]
+    fn a_closed_link_is_redialed_once_without_failover() {
+        let (shared, accepts) =
+            stand_in_fleet("redial", 30, |c, n| if (c, n) == (1, 2) { None } else { echo(c, n) });
+        let mut links = vec![None];
+        assert_eq!(route(&shared, &mut links), "answer 1.1");
+        assert_eq!(route(&shared, &mut links), "answer 2.1");
+        assert_eq!(route(&shared, &mut links), "answer 2.2");
+        assert_eq!(count(&accepts), 2);
+        assert_eq!(count(&shared.counters.forwarded), 3);
+        assert_eq!(count(&shared.counters.failovers), 0);
+        assert_eq!(count(&shared.counters.unrouted), 0);
+        std::fs::remove_dir_all(&shared.opts.run_dir).ok();
+    }
+
+    /// A kept link whose exchange timed out is dropped without a redial:
+    /// the worker's late answer is never relayed for the next cell.
+    #[test]
+    fn a_timed_out_link_is_dropped_and_its_late_answer_never_relayed() {
+        let (shared, accepts) = stand_in_fleet("late", 1, |c, n| {
+            if (c, n) == (1, 2) {
+                std::thread::sleep(Duration::from_millis(1500));
+                return Some("late".to_string());
+            }
+            echo(c, n)
+        });
+        let mut links = vec![None];
+        assert_eq!(route(&shared, &mut links), "answer 1.1");
+        let timed_out = route(&shared, &mut links);
+        assert!(timed_out.contains("no fleet worker reachable"), "{timed_out}");
+        assert_eq!(count(&accepts), 1, "a timeout must not redial");
+        assert_eq!(route(&shared, &mut links), "answer 2.1");
+        assert_eq!(count(&accepts), 2);
+        assert_eq!(count(&shared.counters.forwarded), 3);
+        assert_eq!(count(&shared.counters.unrouted), 1);
+        std::fs::remove_dir_all(&shared.opts.run_dir).ok();
+    }
 
     /// Rendezvous routing is deterministic, covers every worker, and is
     /// *stable*: removing one worker only moves the keys that ranked it
@@ -901,13 +1073,7 @@ mod tests {
     /// `stats` carries every worker field of the server's table.
     #[test]
     fn exposition_and_stats_keep_their_golden_shape() {
-        let shared = Arc::new(Shared {
-            opts: FleetOptions::new("campaign_server", "store", "run"),
-            workers: Mutex::new(Vec::new()),
-            counters: FleetCounters::default(),
-            started: Instant::now(),
-            shutdown: Shutdown::new(),
-        });
+        let shared = shared_with(FleetOptions::new("campaign_server", "store", "run"), Vec::new());
         assert_eq!(
             telemetry::exposition(METRICS, shared.as_ref()),
             "# HELP facfleet_workers Configured fleet size.\n\

@@ -74,8 +74,9 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Locks a mutex, recovering the data from a poisoned lock: a panic on
 /// one connection thread must never wedge the whole server, supervisor
 /// or chaos harness (the data they guard — counters, the in-flight map,
-/// the store handle, worker tables, fault schedules — stays consistent
-/// because every critical section is a few straight-line statements).
+/// the degraded-store state, worker tables, fault schedules — stays
+/// consistent because every critical section is a few straight-line
+/// statements).
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -221,7 +222,7 @@ pub(crate) static METRICS: &[Metric<Shared>] = &[
     Metric::new("store_degraded", Kind::Flag(Shared::store_degraded),
         7, "faccell_store_degraded", None,
         "1 while the store is in degraded (read-only) mode."),
-    Metric::new("entries", Kind::Shared(|s| lock(&s.store).len().unwrap_or(0) as u64),
+    Metric::new("entries", Kind::Shared(|s| s.store.len().unwrap_or(0) as u64),
         11, "faccell_store_entries", None,
         "Committed cells in the content-addressed store."),
     Metric::new("admitted", Kind::Gauge(|s| s.admitted.load(Ordering::SeqCst) as u64),
@@ -437,7 +438,7 @@ struct Degrade {
 /// State shared by every connection thread.
 pub(crate) struct Shared {
     opts: ServeOptions,
-    store: Mutex<Store>,
+    store: Store,
     degrade: Mutex<Degrade>,
     inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
     /// Simulations admitted (queued or running) right now.
@@ -497,9 +498,8 @@ impl Shared {
     /// after `degrade_after` consecutive failures — flips the store to
     /// compute-through until a throttled probe write lands again.
     fn store_put(&self, key: u64, doc: &Json) {
-        // Lock order: degrade, then store — matched nowhere else, so no
-        // cycle. Holding `degrade` across the put serializes writes, but
-        // the store mutex already does.
+        // Holding `degrade` across the put serializes store writes; reads
+        // take no lock (`Store` is `Sync`).
         let mut d = lock(&self.degrade);
         if d.degraded {
             let probe_due = d
@@ -511,7 +511,7 @@ impl Shared {
             }
             d.last_probe = Some(Instant::now());
         }
-        match lock(&self.store).put(key, doc) {
+        match self.store.put(key, doc) {
             Ok(()) => {
                 if d.degraded {
                     d.degraded = false;
@@ -589,7 +589,7 @@ impl Server {
             metrics,
             shared: Arc::new(Shared {
                 opts,
-                store: Mutex::new(store),
+                store,
                 degrade: Mutex::new(Degrade::default()),
                 inflight: Mutex::new(HashMap::new()),
                 admitted: AtomicUsize::new(0),
@@ -658,7 +658,7 @@ impl Server {
         if let Some(log) = &self.shared.telemetry.access {
             lock(log).flush();
         }
-        lock(&self.shared.store).sync()
+        self.shared.store.sync()
     }
 }
 
@@ -863,7 +863,7 @@ fn handle_cell(shared: &Arc<Shared>, cell: &CellRequest) -> (Response, Span) {
         }
     };
 
-    match lock(&shared.store).get(plan.key) {
+    match shared.store.get(plan.key) {
         Ok(Lookup::Hit(result)) => {
             shared.bump(&shared.counters.hits);
             span.phases[QUEUE] = queued.elapsed();

@@ -236,6 +236,8 @@ impl Store {
     /// Looks up a cell. A verified entry is a [`Lookup::Hit`]; a missing
     /// file is a [`Lookup::Miss`]; anything that fails verification is
     /// moved into `quarantine/` and returned as [`Lookup::Quarantined`].
+    /// Safe to call from many threads at once: when several readers meet
+    /// the same corrupt frame, one quarantines it and the rest see a miss.
     ///
     /// # Errors
     ///
@@ -250,10 +252,10 @@ impl Store {
         };
         match Store::decode(key, &bytes) {
             Ok(doc) => Ok(Lookup::Hit(doc)),
-            Err(fault) => {
-                self.quarantine(key, &path, &fault, "read-path")?;
-                Ok(Lookup::Quarantined(fault))
-            }
+            Err(fault) => Ok(match self.quarantine(key, &path, &fault, "read-path")? {
+                true => Lookup::Quarantined(fault),
+                false => Lookup::Miss,
+            }),
         }
     }
 
@@ -299,10 +301,10 @@ impl Store {
         };
         match Store::decode(key, &bytes) {
             Ok(_) => Ok(Scrub::Clean),
-            Err(fault) => {
-                self.quarantine(key, &path, &fault, "scrubber")?;
-                Ok(Scrub::Corrupt(fault))
-            }
+            Err(fault) => Ok(match self.quarantine(key, &path, &fault, "scrubber")? {
+                true => Scrub::Corrupt(fault),
+                false => Scrub::Missing,
+            }),
         }
     }
 
@@ -311,22 +313,25 @@ impl Store {
     /// quarantine cap so sustained corruption cannot fill the disk. The
     /// note's first line carries machine-readable provenance — detecting
     /// component, failing check, and store key — and the second the
-    /// decoder's detail.
+    /// decoder's detail. Returns `false` when the frame was already gone:
+    /// a concurrent reader of the same corrupt frame quarantined it first.
     fn quarantine(
         &self,
         key: u64,
         path: &Path,
         fault: &CellFault,
         component: &str,
-    ) -> Result<(), SimError> {
+    ) -> Result<bool, SimError> {
         let qdir = self.quarantine_dir();
         self.fs
             .create_dir_all(&qdir)
             .map_err(|e| SimError::io(&qdir.display().to_string(), e))?;
         let dest = qdir.join(format!("{key:016x}.cell"));
-        self.fs
-            .rename(path, &dest)
-            .map_err(|e| SimError::io(&path.display().to_string(), e))?;
+        match self.fs.rename(path, &dest) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+            Err(e) => return Err(SimError::io(&path.display().to_string(), e)),
+        }
         // Best-effort: the note is diagnostics, not integrity.
         let note = format!(
             "component={component} check={} key={key:#018x}\n{}\n",
@@ -334,7 +339,7 @@ impl Store {
         );
         self.fs.write(&qdir.join(format!("{key:016x}.reason")), note.as_bytes()).ok();
         self.sweep_quarantine();
-        Ok(())
+        Ok(true)
     }
 
     /// Bounds the quarantine directory: keeps the newest
@@ -652,6 +657,54 @@ mod tests {
         store.put(2, &doc(20)).unwrap();
         for key in store.keys().unwrap() {
             assert!(matches!(store.scrub_key(key).unwrap(), Scrub::Clean), "key {key}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The server reads the store without a lock, so several threads can
+    /// meet one corrupt frame at once. Exactly one of them quarantines it;
+    /// the rest see a miss, never an I/O error, and the quarantine holds
+    /// one frame and one note.
+    #[test]
+    fn concurrent_readers_quarantine_a_corrupt_frame_once() {
+        let (dir, store) = temp_store("race");
+        let path = store.entry_path(9);
+        for round in 0..20 {
+            store.put(9, &doc(round)).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0xff;
+            std::fs::write(&path, &bytes).unwrap();
+            let gate = std::sync::Barrier::new(8);
+            let outcomes: Vec<Result<Lookup, SimError>> = std::thread::scope(|s| {
+                let readers: Vec<_> = (0..8)
+                    .map(|_| {
+                        s.spawn(|| {
+                            gate.wait();
+                            store.get(9)
+                        })
+                    })
+                    .collect();
+                readers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            let mut quarantined = 0;
+            for outcome in outcomes {
+                match outcome {
+                    Ok(Lookup::Quarantined(_)) => quarantined += 1,
+                    Ok(Lookup::Miss) => {}
+                    other => panic!("round {round}: {other:?}"),
+                }
+            }
+            assert_eq!(quarantined, 1, "round {round}");
+            let mut names: Vec<String> = std::fs::read_dir(dir.join("quarantine"))
+                .unwrap()
+                .flatten()
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            let want = ["0000000000000009.cell", "0000000000000009.reason"];
+            assert_eq!(names, want, "round {round}");
+            std::fs::remove_dir_all(dir.join("quarantine")).unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
     }

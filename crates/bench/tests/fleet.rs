@@ -13,8 +13,12 @@
 //!   hit and the new sweep's artifact is byte-identical.
 //! - The supervisor's `stats` sums every counter and load gauge of its
 //!   workers' own `stats`.
-//! - A forwarded cell waits for no accept poll: twenty cells, each on a
-//!   fresh worker connection, take well under half a second.
+//! - A forwarded cell waits for no accept poll or dial: twenty cells on
+//!   one client connection take well under half a second.
+//! - A forward that timed out drops its worker link, so the worker's
+//!   late answer is never relayed for the connection's next cell.
+//! - A connection's kept link to a worker that was killed and restarted
+//!   is redialed: the next cell is answered, nothing unrouted.
 //! - The one health endpoint answers the same way on a lone server and
 //!   on the supervisor, and an idle scraper delays nobody.
 //! - SIGTERM drains the fleet one worker at a time to a clean exit 0.
@@ -485,9 +489,10 @@ fn supervisor_stats_sum_every_worker_field() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Every forward dials its worker afresh, so a worker that waited before
-/// accepting would add that wait to every cell: twenty `__sleep:0` cells
-/// through the supervisor finish well inside twenty accept-poll sleeps.
+/// A client connection keeps one link per worker, so a cell pays neither
+/// a dial nor a worker accept: twenty `__sleep:0` cells through the
+/// supervisor finish well inside twenty accept-poll sleeps, and a worker
+/// that waited before accepting would add that wait only once.
 #[test]
 fn forwarded_cells_are_served_without_waiting() {
     let base = temp_dir("fresh");
@@ -507,6 +512,81 @@ fn forwarded_cells_are_served_without_waiting() {
     assert_eq!(wait_exit(&mut sup, 60).code(), Some(0), "drain must exit 0");
     std::fs::remove_dir_all(&base).ok();
     assert!(took < Duration::from_millis(500), "20 forwarded cells took {took:?}");
+}
+
+/// A forward that timed out drops its worker link instead of keeping it:
+/// behind `--request-timeout-secs 1`, a `__sleep:2500` cell is refused,
+/// and the `__sleep:0` cell sent next on the same connection gets its
+/// own answer, not the sleeping worker's late one.
+#[test]
+fn a_late_worker_answer_is_never_relayed_for_the_next_cell() {
+    let base = temp_dir("late");
+    let sock = base.join("sup.sock");
+    let mut sup = spawn_fleet(&base, &sock, 2, &["--test-cells", "--request-timeout-secs", "1"]);
+    let endpoint = Endpoint::Unix(sock.clone());
+    let mut client = Client::connect(&endpoint, Duration::from_secs(30)).unwrap();
+    let slow = cell_request("__sleep:2500", "fac", Scale::Smoke);
+    match client.rpc(&Request::Cell(slow.clone())).unwrap() {
+        Response::Error { trace_id, .. } => assert_eq!(trace_id, slow.trace_id),
+        other => panic!("the slow cell beat its 1 s deadline: {other:?}"),
+    }
+    let fast = cell_request("__sleep:0", "fac", Scale::Smoke);
+    let resp = client.rpc(&Request::Cell(fast.clone())).unwrap();
+    let Response::Cell { key, trace_id, .. } = resp else { panic!("fast cell refused: {resp:?}") };
+    assert_eq!(trace_id, fast.trace_id);
+    let mut fresh = Client::connect(&endpoint, Duration::from_secs(30)).unwrap();
+    let resp = fresh.rpc(&Request::Cell(fast)).unwrap();
+    let Response::Cell { key: want, .. } = resp else { panic!("fast cell refused: {resp:?}") };
+    assert_eq!(key, want, "the second cell was answered with another cell's key");
+
+    send_signal(u64::from(sup.id()), "TERM");
+    assert_eq!(wait_exit(&mut sup, 60).code(), Some(0), "drain must exit 0");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// SIGKILL the worker a connection's kept link points at and wait for
+/// its restart: the next cell on that connection redials the restarted
+/// worker and is answered there, with nothing unrouted or failed over.
+#[test]
+fn a_kept_link_is_redialed_after_its_worker_restarts() {
+    let base = temp_dir("relink");
+    let sock = base.join("sup.sock");
+    let mut sup = spawn_fleet(&base, &sock, 2, &["--test-cells", "--backoff-base-ms", "50"]);
+    let endpoint = Endpoint::Unix(sock.clone());
+    let mut client = Client::connect(&endpoint, Duration::from_secs(30)).unwrap();
+    let cell = cell_request("__sleep:1", "fac", Scale::Smoke);
+    let resp = client.rpc(&Request::Cell(cell.clone())).unwrap();
+    assert!(matches!(resp, Response::Cell { .. }), "cell refused: {resp:?}");
+
+    // The linked worker is the one row with a forward.
+    let fleet = fleet_stats(&sock);
+    let Some(Json::Arr(rows)) = fleet.get("rows") else { panic!("no rows: {fleet}") };
+    let linked: Vec<&Json> = rows.iter().filter(|r| leaf(r, "forwarded") == 1).collect();
+    assert_eq!(linked.len(), 1, "{fleet}");
+    let (index, victim) = (leaf(linked[0], "index") as usize, leaf(linked[0], "pid"));
+    send_signal(victim, "KILL");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let fleet = fleet_stats(&sock);
+        let (pid, state) = worker_rows(&fleet)[index].clone();
+        if leaf(&fleet, "restarts") >= 1 && pid != victim && state == "up" {
+            break;
+        }
+        assert!(Instant::now() < deadline, "killed worker never restarted: {fleet}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    let resp = client.rpc(&Request::Cell(cell)).unwrap();
+    assert!(matches!(resp, Response::Cell { .. }), "cell after the restart refused: {resp:?}");
+    let fleet = fleet_stats(&sock);
+    assert_eq!(leaf(&fleet, "unrouted"), 0, "{fleet}");
+    assert_eq!(leaf(&fleet, "failovers"), 0, "{fleet}");
+    let Some(Json::Arr(rows)) = fleet.get("rows") else { panic!("no rows: {fleet}") };
+    assert_eq!(leaf(&rows[index], "forwarded"), 2, "not served by the restarted worker: {fleet}");
+
+    send_signal(u64::from(sup.id()), "TERM");
+    assert_eq!(wait_exit(&mut sup, 60).code(), Some(0), "drain must exit 0");
+    std::fs::remove_dir_all(&base).ok();
 }
 
 /// One HTTP exchange with a health endpoint: `request` out, the whole
